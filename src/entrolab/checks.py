@@ -474,8 +474,7 @@ def inverse_theorem_check(
     f = doubling_and_difference(ctx, m)
     g = ctx.grid(m)
     phi = grids.gaussian_fit(g)
-    div = grids.kl_divergence(g, phi)
-    div_err = g.error_estimate + 1e-9
+    div, div_err = grids.kl_divergence(g, phi)
     var = grids.grid_moments(g).variance
     echo = (m.to_dict(),)
     half_ln2 = 0.5 * LN2

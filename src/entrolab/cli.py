@@ -195,7 +195,6 @@ def _emit_suite(report: SuiteReport, config: SuiteConfig, args) -> None:
           f"{counts['inconclusive']} inconclusive, {counts['skipped']} skipped",
           file=sys.stderr)
     if getattr(args, "timings", False):
-        # per-family times are only collected in the serial path
         for cid, dt in sorted(report.timings.items()):
             if dt > 0.0:
                 print(f"  {cid}: {dt:.3f}s", file=sys.stderr)

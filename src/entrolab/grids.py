@@ -2,8 +2,9 @@
 
 Densities live on uniform cell-centered grids; all quadrature is the
 midpoint rule, so ``sum(values) * step`` is the represented mass.  Every
-grid carries a conservative entropy-error estimate (truncation plus
-quadrature) that downstream inequality verdicts consume.
+grid carries a conservative entropy-error estimate (truncation and trimmed
+mass, plus a sampling term per convolution; ``entropy`` adds quadrature)
+that downstream inequality verdicts consume.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ MIN_COUNT = 256
 MAX_COUNT = 1 << 24
 DENSITY_FLOOR = 1e-300
 TRUNCATION_LIMIT = 1e-6
+# convolution cells below this fraction of the peak are FFT round-off; trimmed
+TRIM_FLOOR = 1e-15
+# entropy error per convolution, in units of step^2 / variance of the sum
+SAMPLING_COEF = 1.0 / 24.0
 
 
 class GridError(RuntimeError):
@@ -155,13 +160,26 @@ def _pow2_at_least(n: int) -> int:
     return max(MIN_COUNT, 1 << max(0, (n - 1)).bit_length())
 
 
+def _occupied(f: GridDensity) -> np.ndarray:
+    """Values up to the last nonzero cell, dropping the power-of-two padding."""
+    nz = np.flatnonzero(f.values)
+    return f.values[: nz[-1] + 1] if nz.size else f.values[:1]
+
+
 def convolve(f: GridDensity, g: GridDensity) -> GridDensity:
     """Density of X + Y for independent X ~ f, Y ~ g.
 
-    Zero-padded FFT convolution; grids with unequal steps are first brought
-    to the coarser step.  Error estimates add.  Operands are ordered by
-    content before the transform so the operation commutes exactly, not
-    just within rounding.
+    Zero-padded FFT convolution sized by the operands' occupied cells;
+    grids with unequal steps are first brought to the coarser step.  The
+    result keeps only the cells above TRIM_FLOOR of its peak (the lower cut
+    on an even index, so the Richardson half grid in ``entropy`` pairs the
+    same cells as on the untrimmed grid) and is zero-padded back to a power
+    of two.  Error estimates add, plus three terms of this step: the FFT
+    mass defect, the trimmed mass, and SAMPLING_COEF * step^2 / variance for
+    the variance the midpoint grid loses to the discrete convolution
+    (Sheppard's correction), which the Richardson estimate cannot see on
+    densities with jumps.  Operands are ordered by content before the
+    transform so the operation commutes exactly, not just within rounding.
     """
     if not math.isclose(f.spec.step, g.spec.step, rel_tol=1e-9):
         target = max(f.spec.step, g.spec.step)
@@ -173,18 +191,24 @@ def convolve(f: GridDensity, g: GridDensity) -> GridDensity:
             f.spec.count, f.spec.origin, f.values.tobytes()):
         f, g = g, f
     step = f.spec.step
-    nf, ng = f.spec.count, g.spec.count
-    m = 1 << (nf + ng - 1).bit_length()
-    out = np.fft.irfft(np.fft.rfft(f.values, m) * np.fft.rfft(g.values, m), m)
-    out = out[: nf + ng - 1] * step
-    out = np.clip(out, 0.0, None)
-    padded = np.zeros(m)
-    padded[: nf + ng - 1] = out
-    values, defect = _normalized(padded, step)
-    spec = GridSpec(origin=f.spec.origin + g.spec.origin + step / 2.0, step=step, count=m)
+    fv, gv = _occupied(f), _occupied(g)
+    n = fv.size + gv.size - 1
+    m = _pow2_at_least(n)
+    out = np.fft.irfft(np.fft.rfft(fv, m) * np.fft.rfft(gv, m), m)
+    out, defect = _normalized(np.clip(out[:n] * step, 0.0, None), step)
+    kept = np.flatnonzero(out > TRIM_FLOOR * out.max())
+    lo, hi = int(kept[0]) & ~1, int(kept[-1]) + 1
+    padded = np.zeros(_pow2_at_least(hi - lo))
+    padded[: hi - lo] = out[lo:hi]
+    values, trimmed = _normalized(padded, step)
+    spec = GridSpec(origin=f.spec.origin + g.spec.origin + step / 2.0 + lo * step,
+                    step=step, count=padded.size)
+    # variances add under convolution; one-cell grids cap the term at SAMPLING_COEF
+    variance = grid_moments(f).variance + grid_moments(g).variance
+    sampling = SAMPLING_COEF * step * step / max(variance, step * step)
     return GridDensity(spec=spec, values=values, mass_defect=defect,
                        error_estimate=f.error_estimate + g.error_estimate
-                       + _truncation_term(defect))
+                       + _truncation_term(defect) + _truncation_term(trimmed) + sampling)
 
 
 def _plain_entropy(values: np.ndarray, step: float) -> float:
@@ -227,11 +251,13 @@ def _plain_kl(values: np.ndarray, ref: np.ndarray, step: float) -> float:
     return float(np.sum(vv * (np.log(vv) - np.log(rr))) * step)
 
 
-def kl_divergence(f: GridDensity, g: DensityModel) -> float:
+def kl_divergence(f: GridDensity, g: DensityModel) -> tuple[float, float]:
     """Relative entropy of the grid f against a model with positive density.
 
-    Nonnegative up to numerical error; values within the error band are
-    clamped to zero.
+    Returns (value, err), err being a Richardson estimate from recomputing
+    at half resolution plus the grid's stored error estimate, as in
+    ``entropy``.  Nonnegative up to numerical error; values within the error
+    band are clamped to zero.
     """
     x = f.spec.centers()
     ref = np.asarray(g.pdf(x), dtype=float)
@@ -252,8 +278,8 @@ def kl_divergence(f: GridDensity, g: DensityModel) -> float:
     if val < 0.0:
         if val < -err:
             raise GridError(f"divergence {val:.3g} below -err={-err:.3g}; grid inconsistent")
-        return 0.0
-    return val
+        return 0.0, err
+    return val, err
 
 
 def l1_distance(f: GridDensity, g: DensityModel) -> float:

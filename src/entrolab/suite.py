@@ -31,6 +31,7 @@ from .discrete import (
     DiscreteJoint,
 )
 from .distributions import DensityModel, ModelError, make_model
+from .grids import MAX_COUNT, MIN_COUNT
 from .report import InequalityReport, SKIPPED
 
 __all__ = ["ConfigError", "SuiteConfig", "SuiteReport", "load_config", "run_suite",
@@ -103,6 +104,16 @@ def load_config(path: str) -> SuiteConfig:
     return config_from_dict(raw)
 
 
+def _int_field(value, name: str, low: int = 1) -> int:
+    try:
+        out = int(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"'{name}' must be an integer, got {value!r}") from e
+    if out < low:
+        raise ConfigError(f"'{name}' must be at least {low}, got {out}")
+    return out
+
+
 def config_from_dict(raw: dict) -> SuiteConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -113,7 +124,11 @@ def config_from_dict(raw: dict) -> SuiteConfig:
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
     numerics = raw.get("numerics", {})
-    grid_count = int(numerics.get("grid_count", 1 << 14))
+    grid_count = _int_field(numerics.get("grid_count", 1 << 14), "numerics.grid_count",
+                            MIN_COUNT)
+    if grid_count > MAX_COUNT or grid_count & (grid_count - 1):
+        raise ConfigError(f"'numerics.grid_count' must be a power of two in "
+                          f"[{MIN_COUNT}, {MAX_COUNT}], got {grid_count}")
     window_sigmas = float(numerics.get("window_sigmas", 12.0))
     tolerances = dict(numerics.get("tolerances", {}))
     for cid in tolerances:
@@ -146,9 +161,7 @@ def config_from_dict(raw: dict) -> SuiteConfig:
 
     trials = raw.get("trials")
     if trials is not None:
-        trials = int(trials)
-        if trials < 1:
-            raise ConfigError("'trials' must be positive")
+        trials = _int_field(trials, "trials")
 
     return SuiteConfig(
         seed=seed,
@@ -156,11 +169,11 @@ def config_from_dict(raw: dict) -> SuiteConfig:
         window_sigmas=window_sigmas,
         tolerances=tolerances,
         corpus=corpus,
-        corpus_size=int(raw.get("corpus_size", 100)),
+        corpus_size=_int_field(raw.get("corpus_size", 100), "corpus_size"),
         checks=checks,
         trials=trials,
-        discrete_group_order=int(discrete.get("group_order", 6)),
-        discrete_trials=int(discrete.get("trials", 100)),
+        discrete_group_order=_int_field(discrete.get("group_order", 6), "discrete.group_order"),
+        discrete_trials=_int_field(discrete.get("trials", 100), "discrete.trials"),
         output_path=output.get("path"),
         output_format=fmt,
         workers=raw.get("workers"),
@@ -201,6 +214,13 @@ def _trial_rng(seed: int, family_index: int, variant_index: int, salt: int = 0):
     return np.random.default_rng(
         np.random.SeedSequence([seed, family_index, variant_index, salt])
     )
+
+
+def _timed(job, args) -> tuple[list[InequalityReport], float]:
+    """Run one job and return its reports with its elapsed seconds."""
+    t0 = time.perf_counter()
+    reports = job(args)
+    return reports, time.perf_counter() - t0
 
 
 def _continuous_job(args) -> list[InequalityReport]:
@@ -282,32 +302,26 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             discrete_jobs.append(cid)
 
     workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
+    pooled = workers > 1 and (len(continuous_jobs) + len(discrete_jobs)) > 1
+    # the serial path shares one GridContext; each pool job builds its own
+    ctx = None if pooled else GridContext(config.grid_count, config.window_sigmas)
+    jobs = [(cid, _continuous_job, (config, cid, vi, models, ctx))
+            for cid, vi in continuous_jobs]
+    jobs += [(cid, _discrete_job, (config, cid)) for cid in discrete_jobs]
+    ids, fns, fargs = zip(*jobs)
+
+    t0 = time.perf_counter()
+    if pooled:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_timed, fns, fargs))
+    else:
+        results = list(map(_timed, fns, fargs))
     reports: list[InequalityReport] = []
     timings: dict[str, float] = {}
-
-    if workers > 1 and (len(continuous_jobs) + len(discrete_jobs)) > 1:
-        cargs = [(config, cid, vi, models, None) for cid, vi in continuous_jobs]
-        dargs = [(config, cid) for cid in discrete_jobs]
-        t0 = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (cid, _), res in zip(continuous_jobs, pool.map(_continuous_job, cargs)):
-                reports.extend(res)
-                timings[cid] = timings.get(cid, 0.0)
-            for cid, res in zip(discrete_jobs, pool.map(_discrete_job, dargs)):
-                reports.extend(res)
-                timings[cid] = timings.get(cid, 0.0)
-        timings["total"] = time.perf_counter() - t0
-    else:
-        ctx = GridContext(config.grid_count, config.window_sigmas)
-        for cid, vi in continuous_jobs:
-            t0 = time.perf_counter()
-            reports.extend(_continuous_job((config, cid, vi, models, ctx)))
-            timings[cid] = timings.get(cid, 0.0) + time.perf_counter() - t0
-        for cid in discrete_jobs:
-            t0 = time.perf_counter()
-            reports.extend(_discrete_job((config, cid)))
-            timings[cid] = timings.get(cid, 0.0) + time.perf_counter() - t0
-        timings["total"] = sum(timings.values())
+    for cid, (res, dt) in zip(ids, results):
+        reports.extend(res)
+        timings[cid] = timings.get(cid, 0.0) + dt
+    timings["total"] = time.perf_counter() - t0
 
     return SuiteReport(config=config.echo(), reports=reports, timings=timings)
 

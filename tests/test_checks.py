@@ -240,6 +240,14 @@ class TestInverseBundle:
             assert reps["inverse_contraction"].verdict in ("holds", "inconclusive")
             assert reps["inverse_contraction"].slack >= -reps["inverse_contraction"].err
 
+    @pytest.mark.parametrize("lo,width", [(0.0, 1.0), (-2.5, 0.7), (1.3, 5.2)])
+    def test_uniform_divergence_within_its_err(self, ctx, lo, width):
+        # a uniform grid carries no truncation error, so the Pinsker err is
+        # the divergence's own error estimate
+        reps = {r.check_id: r for r in inverse_theorem_check(Uniform(lo, lo + width), ctx)}
+        pinsker = reps["inverse_pinsker"]
+        assert abs(pinsker.rhs - 0.5 * math.log(math.pi * math.e / 6)) <= pinsker.err
+
     def test_pinsker_on_mixture(self, ctx):
         m = Mixture((0.4, 0.6), (Gaussian(-2, 0.5), Gaussian(1, 2.0)))
         reps = {r.check_id: r for r in inverse_theorem_check(m, ctx)}

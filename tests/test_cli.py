@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from entrolab.checks import CHECKS
 from entrolab.cli import ExpressionError, main, parse_expression
 from entrolab.distributions import Exponential, Gaussian, Uniform
 from entrolab.suite import ConfigError, config_from_dict
@@ -130,6 +131,28 @@ class TestCheckCommand:
         with pytest.raises(ConfigError):
             config_from_dict({"seed": 1, "corpus": [{"kind": "gaussian",
                                                      "mean": 0, "variance": -1}]})
+
+    @pytest.mark.parametrize("field,value", [
+        ("numerics", {"grid_count": 1000}),  # not a power of two
+        ("numerics", {"grid_count": 128}),  # below the grid minimum
+        ("numerics", {"grid_count": 1 << 25}),  # above the grid maximum
+        ("corpus_size", 0),
+        ("corpus_size", "many"),
+    ])
+    def test_bad_numbers_rejected_at_load(self, tmp_path, capsys, field, value):
+        with pytest.raises(ConfigError):
+            config_from_dict({"seed": 1, field: value})
+        cfg = write_config(tmp_path, **{field: value})
+        assert main(["check", "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_pool_timings_list_every_family(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, checks="all", corpus_size=8)
+        assert main(["check", "--config", cfg, "--timings", "--workers", "2"]) == 0
+        err = capsys.readouterr().err
+        for cid in CHECKS:
+            assert f"  {cid}: " in err
+        assert "  total: " in err
 
     def test_full_registry_reports_all_families(self, tmp_path, capsys):
         cfg = write_config(tmp_path, checks="all", corpus_size=8)

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import digamma
+
+from entrolab import grids
 from entrolab.distributions import Exponential, Gaussian, Gridded, Laplace, Mixture, Uniform
 from entrolab.grids import (
+    MIN_COUNT,
+    GridDensity,
     GridError,
     GridSpec,
     convolve,
@@ -122,6 +127,46 @@ class TestConvolve:
         h, err = entropy(out)
         assert h == pytest.approx(0.5 * math.log(2 * math.pi * math.e * (1e6 + 1)), abs=1e-3)
 
+    @pytest.mark.parametrize("terms,bound", [
+        # U(0,1)^{*8} needs its whole support [0, 8] at the base step 1/16384
+        ([(1, Uniform(0, 1))] * 8, 1 << 17),
+        # the Gaussian and exponential tails fall below the trimming floor
+        ([(1, Gaussian(0, 1))] * 4 + [(1, Laplace(0, 1))] * 4, 1 << 15),
+        ([(1, Exponential(1.0))] * 4 + [(1, Uniform(0, 1))] * 4, 1 << 15),
+    ])
+    def test_eight_term_sum_grid_is_bounded(self, ctx, terms, bound):
+        # an untrimmed grid doubles at each of the seven convolutions, to 1 << 21
+        assert ctx.sum_grid(terms).spec.count <= bound
+
+    def test_deep_sums_commute_exactly(self, ctx):
+        a = ctx.sum_grid([(1, Laplace(0, 1))] * 4)
+        b = ctx.sum_grid([(1, Exponential(1.0))] * 3 + [(-1, Uniform(0, 2))])
+        c1, c2 = convolve(a, b), convolve(b, a)
+        assert c1.values.tobytes() == c2.values.tobytes()
+        assert c1.spec == c2.spec and c1.error_estimate == c2.error_estimate
+
+    def test_trimmed_mass_charged_to_err(self, monkeypatch):
+        step, count = 0.01, 1 << 16
+        raw = np.full(count, 0.5e-15)  # a plateau below the trimming floor
+        raw[20001:20017] = 1.0  # a 16-cell block starting on an odd cell
+        f = GridDensity(GridSpec(0.0, step, count), raw / (raw.sum() * step), 0.0, 0.0)
+        point = np.zeros(MIN_COUNT)
+        point[0] = 1.0 / step
+        g = GridDensity(GridSpec(0.0, step, MIN_COUNT), point, 0.0, 0.0)
+        # the lower cut moves down to the even cell 20000 and keeps it
+        trimmed = (f.values.sum() - f.values[20000:20017].sum()) * step
+        charged = []
+        real = grids._truncation_term
+        monkeypatch.setattr(grids, "_truncation_term",
+                            lambda mass: charged.append(mass) or real(mass))
+        out = convolve(f, g)
+        assert out.spec.origin == pytest.approx(20000.5 * step)
+        assert np.allclose(out.values[:17], f.values[20000:20017], rtol=1e-9)
+        assert not out.values[17:].any()
+        assert trimmed > 1e-12
+        assert any(math.isclose(m, trimmed, rel_tol=1e-3) for m in charged)
+        assert out.error_estimate >= real(trimmed)
+
     def test_unrepresentable_step_ratio_rejected(self):
         f = discretize(Gaussian(0, 1))
         with pytest.raises(GridError):
@@ -187,19 +232,19 @@ class TestEntropy:
 class TestKl:
     def test_self_divergence_zero(self):
         g = discretize(Gaussian(0, 1))
-        assert kl_divergence(g, Gaussian(0, 1)) == pytest.approx(0.0, abs=1e-8)
+        assert kl_divergence(g, Gaussian(0, 1))[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_uniform_vs_fitted_gaussian(self):
         u = discretize(Uniform(0, 1))
         fit = gaussian_fit(u)
         assert fit.mean == pytest.approx(0.5, abs=1e-8)
         assert fit.variance == pytest.approx(1 / 12, abs=1e-8)
-        d = kl_divergence(u, fit)
+        d, _ = kl_divergence(u, fit)
         assert d == pytest.approx(0.5 * math.log(2 * math.pi * math.e / 12), abs=1e-4)
 
     def test_exponential_vs_moment_matched_gaussian(self):
         e = discretize(Exponential(1.0))
-        d = kl_divergence(e, Gaussian(1.0, 1.0))
+        d, _ = kl_divergence(e, Gaussian(1.0, 1.0))
         assert d == pytest.approx(0.5 * LN_2PI_E - 1.0, abs=1e-4)
 
     def test_divergence_equals_entropy_gap_of_fit(self):
@@ -207,7 +252,7 @@ class TestKl:
         m = Mixture((0.5, 0.5), (Gaussian(-1, 0.6), Gaussian(1.5, 1.2)))
         g = discretize(m)
         fit = gaussian_fit(g)
-        d = kl_divergence(g, fit)
+        d, _ = kl_divergence(g, fit)
         h_f, err = entropy(g)
         h_phi = fit.closed_form_entropy()
         assert d == pytest.approx(h_phi - h_f, abs=max(1e-6, 3 * err))
@@ -217,6 +262,17 @@ class TestKl:
         with pytest.raises(GridError):
             kl_divergence(g, Uniform(-1, 1))
 
+    @pytest.mark.parametrize("model,exact", [
+        (Uniform(-1, 2), 0.5 * math.log(math.pi * math.e / 6)),
+        (Exponential(0.7), 0.5 * LN_2PI_E - 1.0),
+        (Laplace(1.0, 0.8), 0.5 * math.log(math.pi * math.e) - 1.0),
+        (Gaussian(0.5, 2.0), 0.0),
+    ])
+    def test_divergence_to_fit_within_err(self, model, exact):
+        g = discretize(model)
+        d, err = kl_divergence(g, gaussian_fit(g))
+        assert abs(d - exact) <= err
+
     @pytest.mark.parametrize("model", [
         Uniform(0, 1), Exponential(1.0), Laplace(0, 1),
         Mixture((0.3, 0.7), (Gaussian(-2, 1), Gaussian(2, 1))),
@@ -224,9 +280,57 @@ class TestKl:
     def test_pinsker(self, model):
         g = discretize(model)
         fit = gaussian_fit(g)
-        d = kl_divergence(g, fit)
+        d, _ = kl_divergence(g, fit)
         l1 = l1_distance(g, fit)
         assert 0.5 * l1 * l1 <= d + g.error_estimate + 1e-6
+
+
+class TestErrorAudit:
+    """|h_grid - h_exact| <= err for sums with closed-form or quadrature entropies."""
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_gaussian_sums(self, ctx, k):
+        self._audit(ctx, [(1, Gaussian(0.3, 2.0))] * k, 0.5 * math.log(2 * math.pi * math.e * 2.0 * k))
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_exponential_sums_are_gamma(self, ctx, k):
+        rate = 0.7
+        exact = k - math.log(rate) + math.lgamma(k) + (1 - k) * float(digamma(k))
+        self._audit(ctx, [(1, Exponential(rate))] * k, exact)
+
+    def test_exponential_difference_is_laplace(self, ctx):
+        rate = 0.7
+        self._audit(ctx, [(1, Exponential(rate)), (-1, Exponential(rate))],
+                    1.0 + math.log(2.0 / rate))
+
+    @pytest.mark.parametrize("w", [0.5, 3.0])
+    def test_uniform_pair(self, ctx, w):
+        self._audit(ctx, [(1, Uniform(0, w))] * 2, math.log(w) + 0.5)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_irwin_hall(self, ctx, k):
+        self._audit(ctx, [(1, Uniform(0, 1))] * k, _irwin_hall_entropy(k))
+
+    @staticmethod
+    def _audit(ctx, terms, exact):
+        h, err = ctx.entropy(*terms)
+        assert abs(h - exact) <= err, f"|h - exact| / err = {abs(h - exact) / err:.3f}"
+
+
+def _irwin_hall_entropy(k: int) -> float:
+    """Entropy of the sum of k independent U(0,1), by mpmath quadrature."""
+    import mpmath as mp
+
+    def pdf(x):
+        return sum((-1) ** j * mp.binomial(k, j) * (x - j) ** (k - 1)
+                   for j in range(int(mp.floor(x)) + 1)) / mp.factorial(k - 1)
+
+    def integrand(x):
+        p = pdf(x)
+        return -p * mp.log(p) if p > 0 else mp.mpf(0)
+
+    with mp.workdps(30):
+        return float(mp.quad(integrand, list(range(k + 1))))
 
 
 class TestGaussianFit:
