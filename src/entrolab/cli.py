@@ -19,12 +19,14 @@ from . import __version__
 from .checks import GridContext, inverse_theorem_check
 from .distributions import DensityModel, Exponential, Gamma, Gaussian, Laplace, ModelError, Uniform
 from .gaussians import run_bsg_scenario, run_weak_bsg_scenario
+from .grids import GridError
 from .report import InequalityReport
 from .suite import (
     ConfigError,
     SuiteConfig,
     SuiteReport,
     config_from_dict,
+    grid_count_field,
     load_config,
     run_suite,
     serialize_report,
@@ -130,11 +132,11 @@ def parse_expression(text: str) -> list[tuple[int, DensityModel]]:
 def _cmd_entropy(args) -> int:
     try:
         terms = parse_expression(args.expression)
-    except ExpressionError as e:
+        grid_count = grid_count_field(args.grid_count, "--grid-count")
+        value, err = GridContext(grid_count, args.window_sigmas).entropy(*terms)
+    except (ExpressionError, ConfigError, GridError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    ctx = GridContext(args.grid_count, args.window_sigmas)
-    value, err = ctx.entropy(*terms)
     if not math.isfinite(value):
         print("error: entropy is not finite for this expression "
               "(degenerate or unsupported law)", file=sys.stderr)

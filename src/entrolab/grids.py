@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .distributions import DensityModel, Gaussian, MomentSummary
 
@@ -147,13 +146,49 @@ def resample(f: GridDensity, step: float) -> GridDensity:
             f"resampling to step {step:.3g} needs {count} cells; step ratio not representable"
         )
     new_spec = GridSpec(origin=spec.origin, step=step, count=count)
-    interp = PchipInterpolator(spec.centers(), f.values, extrapolate=False)
-    raw = interp(new_spec.centers())
-    raw = np.nan_to_num(raw, nan=0.0)
-    raw = np.clip(raw, 0.0, None)
+    # new centers in units of the old step, counted from the first old center
+    t = (np.arange(count) + 0.5) * (step / spec.step) - 0.5
+    raw = np.clip(_pchip(f.values, t), 0.0, None)
     values, defect = _normalized(raw, step)
     return GridDensity(spec=new_spec, values=values, mass_defect=defect,
                        error_estimate=f.error_estimate + _truncation_term(defect))
+
+
+def _pchip(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Monotone cubic (PCHIP) through y at nodes 0, 1, ..., n-1, evaluated at t.
+
+    Node slopes are the Fritsch-Butland harmonic mean of the adjacent
+    secants, zero where they change sign or one is flat; each end takes the
+    one-sided three-point rule with Fritsch-Carlson shape limits.  These
+    are the slopes of scipy's PchipInterpolator on a uniform grid.  Each
+    cell is a Hermite cubic; points outside [0, n-1] give 0.
+    """
+    m = np.diff(y)
+    prod = m[:-1] * m[1:]
+    d = np.zeros_like(y)
+    # harmonic mean 2*m0*m1/(m0+m1) where both secants share a sign
+    np.divide(2.0 * prod, m[:-1] + m[1:], out=d[1:-1], where=prod > 0.0)
+    d[0], d[-1] = _end_slope(m[0], m[1]), _end_slope(m[-1], m[-2])
+
+    n = y.size
+    inside = (t >= 0.0) & (t <= n - 1)
+    k = np.minimum(t[inside].astype(np.intp), n - 2)
+    s = t[inside] - k
+    y0, a, b = y[k], d[k], d[k + 1]
+    rise = y[k + 1] - y0
+    out = np.zeros(t.size)
+    out[inside] = y0 + s * (a + s * (3.0 * rise - 2.0 * a - b + s * (a + b - 2.0 * rise)))
+    return out
+
+
+def _end_slope(m0: float, m1: float) -> float:
+    """End-node slope from the end secant m0 and its neighbour m1."""
+    d = (3.0 * m0 - m1) / 2.0
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def _pow2_at_least(n: int) -> int:

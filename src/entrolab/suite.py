@@ -31,7 +31,7 @@ from .discrete import (
     DiscreteJoint,
 )
 from .distributions import DensityModel, ModelError, make_model
-from .grids import MAX_COUNT, MIN_COUNT
+from .grids import MAX_COUNT, MIN_COUNT, GridError
 from .report import InequalityReport, SKIPPED
 
 __all__ = ["ConfigError", "SuiteConfig", "SuiteReport", "load_config", "run_suite",
@@ -114,6 +114,15 @@ def _int_field(value, name: str, low: int = 1) -> int:
     return out
 
 
+def grid_count_field(value, name: str) -> int:
+    """A grid cell count: a power of two in [MIN_COUNT, MAX_COUNT]."""
+    count = _int_field(value, name)
+    if not MIN_COUNT <= count <= MAX_COUNT or count & (count - 1):
+        raise ConfigError(f"'{name}' must be a power of two in "
+                          f"[{MIN_COUNT}, {MAX_COUNT}], got {count}")
+    return count
+
+
 def config_from_dict(raw: dict) -> SuiteConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -124,11 +133,7 @@ def config_from_dict(raw: dict) -> SuiteConfig:
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
     numerics = raw.get("numerics", {})
-    grid_count = _int_field(numerics.get("grid_count", 1 << 14), "numerics.grid_count",
-                            MIN_COUNT)
-    if grid_count > MAX_COUNT or grid_count & (grid_count - 1):
-        raise ConfigError(f"'numerics.grid_count' must be a power of two in "
-                          f"[{MIN_COUNT}, {MAX_COUNT}], got {grid_count}")
+    grid_count = grid_count_field(numerics.get("grid_count", 1 << 14), "numerics.grid_count")
     window_sigmas = float(numerics.get("window_sigmas", 12.0))
     tolerances = dict(numerics.get("tolerances", {}))
     for cid in tolerances:
@@ -238,7 +243,7 @@ def _continuous_job(args) -> list[InequalityReport]:
         picks = [models[int(i)] for i in rng.integers(0, len(models), arity)]
         try:
             rep = run_check(check, picks, ctx, dict(params), extra_err=extra)
-        except Exception as e:  # individual failures become skipped entries
+        except (GridError, ModelError) as e:  # a law the pipeline rejects: skipped entry
             rep = InequalityReport(
                 check_id=check_id, lhs=float("nan"), rhs=float("nan"),
                 slack=float("nan"), err=float("nan"), verdict=SKIPPED,

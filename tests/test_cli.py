@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from entrolab.checks import CHECKS
 from entrolab.cli import ExpressionError, main, parse_expression
 from entrolab.distributions import Exponential, Gaussian, Uniform
-from entrolab.suite import ConfigError, config_from_dict
+from entrolab.suite import ConfigError, config_from_dict, run_suite
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -78,6 +79,15 @@ class TestEntropyCommand:
 
     def test_parse_error_exits_2(self, capsys):
         assert main(["entropy", "frobnicate(1)"]) == 2
+
+    @pytest.mark.parametrize("count", ["1000", "128", str(1 << 25)])
+    def test_bad_grid_count_exits_2(self, capsys, count):
+        assert main(["entropy", "gaussian(0,1)", "--grid-count", count]) == 2
+        assert capsys.readouterr().err.startswith("error: '--grid-count' must be a power of two")
+
+    def test_unbounded_density_exits_2(self, capsys):
+        assert main(["entropy", "gamma(0.5,1)"]) == 2
+        assert "unbounded" in capsys.readouterr().err
 
 
 class TestCheckCommand:
@@ -159,6 +169,26 @@ class TestCheckCommand:
         assert main(["check", "--config", cfg]) == 0
         data = json.loads((tmp_path / "report.json").read_text())
         assert len({c["check_id"] for c in data["checks"]}) >= 13
+
+    def test_rejected_law_becomes_skipped_entry(self):
+        # Gamma(0.5) has an unbounded density, which the grid pipeline rejects
+        config = config_from_dict({
+            "seed": 1, "workers": 1, "checks": ["lower_bound"], "trials": 2,
+            "corpus": [{"kind": "gamma", "shape": 0.5, "scale": 1.0}]})
+        reports = run_suite(config).reports
+        assert [r.verdict for r in reports] == ["skipped", "skipped"]
+        assert all(r.note.startswith("GridError: ") for r in reports)
+
+    def test_program_error_propagates(self, monkeypatch):
+        def broken(ctx, models, **params):
+            raise TypeError("evaluator bug")
+
+        monkeypatch.setitem(CHECKS, "lower_bound",
+                            dataclasses.replace(CHECKS["lower_bound"], evaluator=broken))
+        config = config_from_dict({"seed": 1, "workers": 1, "checks": ["lower_bound"],
+                                   "corpus_size": 4})
+        with pytest.raises(TypeError, match="evaluator bug"):
+            run_suite(config)
 
     def test_explicit_corpus_accepted(self, tmp_path, capsys):
         cfg = write_config(

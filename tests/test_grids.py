@@ -6,6 +6,7 @@ import pytest
 from scipy.special import digamma
 
 from entrolab import grids
+from entrolab.checks import GridContext
 from entrolab.distributions import Exponential, Gaussian, Gridded, Laplace, Mixture, Uniform
 from entrolab.grids import (
     MIN_COUNT,
@@ -173,6 +174,53 @@ class TestConvolve:
             resample(f, f.spec.step / 1e9)
 
 
+class TestResampleKernel:
+    """``resample`` against scipy's PchipInterpolator, an independent oracle."""
+
+    ORIGIN, STEP, COUNT = -1.0, 2.0 ** -8, 1024  # nodes exact in binary
+
+    @classmethod
+    def _grid(cls, values) -> GridDensity:
+        v = np.asarray(values, dtype=float)
+        return GridDensity(GridSpec(cls.ORIGIN, cls.STEP, cls.COUNT),
+                           v / (v.sum() * cls.STEP), 0.0, 0.0)
+
+    @classmethod
+    def _shapes(cls):
+        x = GridSpec(cls.ORIGIN, cls.STEP, cls.COUNT).centers()
+        bump = np.exp(-0.5 * ((x - 1.0) / 0.4) ** 2)
+        ramp = 0.2 + (x - cls.ORIGIN)
+        # bumps and a plateau between runs of zeros: interior slopes change
+        # sign or go flat; the left end takes 3*m0 (secants 0.1, -1) and the
+        # right end a zero slope (secants -0.1, -0.9, wrong-signed 3-point rule)
+        runs = np.where(np.abs(np.sin(3.0 * x)) > 0.5, np.sin(3.0 * x) ** 2 - 0.25, 0.0)
+        runs[400:460] = 1.0
+        runs[:3] = (0.9, 1.0, 0.0)
+        runs[-3:] = (1.0, 0.1, 0.0)
+        return {"bump": bump, "ramp": ramp, "runs": runs}
+
+    @pytest.mark.parametrize("shape", ["bump", "ramp", "runs"])
+    @pytest.mark.parametrize("ratio", [0.1, 1.01, 1.5, 2.0, 3.7, 7.0])
+    def test_matches_scipy_pchip(self, shape, ratio):
+        from scipy.interpolate import PchipInterpolator
+
+        f = self._grid(self._shapes()[shape])
+        out = resample(f, f.spec.step * ratio)
+        raw = PchipInterpolator(f.spec.centers(), f.values, extrapolate=False)(out.spec.centers())
+        raw = np.clip(np.nan_to_num(raw, nan=0.0), 0.0, None)
+        expected = raw / (raw.sum() * out.spec.step)
+        assert np.max(np.abs(out.values - expected)) <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("ratio", [1.01, 3.7, 7.0])
+    def test_zero_outside_source_span(self, ratio):
+        f = self._grid(np.ones(self.COUNT))
+        out = resample(f, f.spec.step * ratio)
+        outside = out.spec.centers() > f.spec.centers()[-1]
+        assert outside.any()
+        assert not out.values[outside].any()
+        assert out.values[~outside].min() > 0.0
+
+
 class TestReflect:
     def test_entropy_unchanged(self):
         g = discretize(Gaussian(0.7, 2.0))
@@ -311,10 +359,47 @@ class TestErrorAudit:
     def test_irwin_hall(self, ctx, k):
         self._audit(ctx, [(1, Uniform(0, 1))] * k, _irwin_hall_entropy(k))
 
+    # two-term sums of laws with unequal grid steps pass through resample
+    @pytest.mark.parametrize("v1,v2", [(1.0, 9.0), (0.01, 4.0)])
+    def test_gaussian_pair_unequal_steps(self, ctx, v1, v2):
+        self._audit(ctx, [(1, Gaussian(0, v1)), (1, Gaussian(0, v2))],
+                    0.5 * math.log(2 * math.pi * math.e * (v1 + v2)))
+
+    @pytest.mark.parametrize("a,b", [(1.0, 2.7), (0.3, 5.0), (0.05, 3.0)])
+    def test_uniform_pair_unequal_widths(self, ctx, a, b):
+        # the trapezoid density of U(0,a) + U(0,b), a <= b, has h = log b + a / (2b)
+        self._audit(ctx, [(1, Uniform(0, a)), (1, Uniform(0, b))], math.log(b) + a / (2 * b))
+
+    @pytest.mark.parametrize("r1,r2", [(1.0, 3.0), (0.5, 7.0)])
+    def test_exponential_pair_unequal_rates(self, ctx, r1, r2):
+        self._audit(ctx, [(1, Exponential(r1)), (1, Exponential(r2))],
+                    _hypoexponential_entropy(r1, r2))
+
+    def test_deep_sum_stable_under_refinement(self):
+        # eight uniforms of two widths: every convolution after the first
+        # coarsens a smooth partial sum, not a jumpy leaf
+        terms = [(1, Uniform(-0.0234, 4.3379))] * 4 + [(1, Uniform(-2.6424, 3.2104))] * 4
+        h, err = GridContext(1 << 14).entropy(*terms)
+        h_fine, _ = GridContext(1 << 17).entropy(*terms)
+        assert abs(h - h_fine) <= err
+        assert err < 1e-7
+
     @staticmethod
     def _audit(ctx, terms, exact):
         h, err = ctx.entropy(*terms)
         assert abs(h - exact) <= err, f"|h - exact| / err = {abs(h - exact) / err:.3f}"
+
+
+def _hypoexponential_entropy(r1: float, r2: float) -> float:
+    """Entropy of Exp(r1) + Exp(r2), r1 != r2, by mpmath quadrature."""
+    import mpmath as mp
+
+    def integrand(z):
+        p = r1 * r2 / (r2 - r1) * (mp.exp(-r1 * z) - mp.exp(-r2 * z))
+        return -p * mp.log(p) if p > 0 else mp.mpf(0)
+
+    with mp.workdps(30):
+        return float(mp.quad(integrand, [0, 1 / max(r1, r2), 1 / min(r1, r2), mp.inf]))
 
 
 def _irwin_hall_entropy(k: int) -> float:
