@@ -9,8 +9,7 @@ everything one-dimensional.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -18,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import grids
-from .distributions import DensityModel, Gaussian, Gridded, Mixture, Uniform
+from .distributions import DensityModel, Gaussian, Mixture, Uniform
 from .poincare import poincare_constant
 from .report import InequalityReport, make_report
 
@@ -56,38 +55,35 @@ class GridContext:
         self._grids: dict[str, grids.GridDensity] = {}
         self._entropies: dict[tuple, tuple[float, float]] = {}
 
-    @staticmethod
-    def _model_key(m: DensityModel) -> str:
-        # content-based on purpose: id()-keyed memoization would alias
-        # recycled addresses of dead model objects
-        key = json.dumps(m.to_dict(), sort_keys=True)
-        if isinstance(m, Gridded):
-            key += hashlib.sha1(m.grid.values.tobytes()).hexdigest()
-        return key
-
     def grid(self, m: DensityModel) -> grids.GridDensity:
-        key = self._model_key(m)
+        key = m.content_key
         if key not in self._grids:
             self._grids[key] = grids.discretize(m, self.window_sigmas, self.count)
         return self._grids[key]
 
     def sum_grid(self, terms: Sequence[tuple[int, DensityModel]]) -> grids.GridDensity:
-        ordered = sorted(terms, key=lambda t: (self._model_key(t[1]), t[0]))
-        parts = []
-        for sign, m in ordered:
-            g = self.grid(m)
-            parts.append(g if sign > 0 else grids.reflect(g))
-        out = parts[0]
-        for g in parts[1:]:
-            out = grids.convolve(out, g)
+        """Grid of the signed independent sum: each run of equal (law, sign)
+        leaves as one convolution power, the runs folded in content order."""
+        ordered = sorted(terms, key=_term_key)
+        out = None
+        for (_, sign), run in itertools.groupby(ordered, key=_term_key):
+            run = list(run)
+            g = self.grid(run[0][1])
+            part = grids.convolve_power(g if sign > 0 else grids.reflect(g), len(run))
+            out = part if out is None else grids.convolve(out, part)
         return out
 
     def entropy(self, *terms: tuple[int, DensityModel]) -> tuple[float, float]:
         """(value, err) of the signed independent sum of the given terms."""
-        key = tuple(sorted((self._model_key(m), s) for s, m in terms))
+        key = tuple(sorted(_term_key(t) for t in terms))
         if key not in self._entropies:
             self._entropies[key] = grids.entropy(self.sum_grid(terms))
         return self._entropies[key]
+
+
+def _term_key(term: tuple[int, DensityModel]) -> tuple[str, int]:
+    sign, m = term
+    return m.content_key, sign
 
 
 @dataclass(frozen=True)

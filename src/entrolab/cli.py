@@ -5,7 +5,10 @@ signed-sum expression), bsg (conditional-copies scenarios), discrete
 (exact group checks), inverse (maximum-entropy-gap bundle over the corpus).
 
 Exit status: 0 when no check is violated, 1 when at least one is,
-2 on configuration or usage errors.
+2 on configuration or usage errors.  A suite report (check, discrete,
+inverse) in which every entry is skipped also exits 2, with "error: every
+entry was skipped" on stderr; a report with only some entries skipped
+keeps the exit status above and prints its skipped count on stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .suite import (
     load_config,
     run_suite,
     serialize_report,
+    window_sigmas_field,
     write_report,
 )
 
@@ -133,7 +137,8 @@ def _cmd_entropy(args) -> int:
     try:
         terms = parse_expression(args.expression)
         grid_count = grid_count_field(args.grid_count, "--grid-count")
-        value, err = GridContext(grid_count, args.window_sigmas).entropy(*terms)
+        window_sigmas = window_sigmas_field(args.window_sigmas, "--window-sigmas")
+        value, err = GridContext(grid_count, window_sigmas).entropy(*terms)
     except (ExpressionError, ConfigError, GridError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -157,15 +162,26 @@ def _cmd_check(args) -> int:
         return EXIT_USAGE
     report = run_suite(config)
     _emit_suite(report, config, args)
-    return EXIT_VIOLATED if report.violated() else EXIT_OK
+    return _suite_exit(report)
+
+
+def _suite_exit(report: SuiteReport) -> int:
+    """Exit status of a suite report; a report with nothing but skipped entries is an error."""
+    counts = report.summary()
+    if report.reports and counts["skipped"] == len(report.reports):
+        print("error: every entry was skipped", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_VIOLATED if counts["violated"] else EXIT_OK
 
 
 def _apply_overrides(config: SuiteConfig, args) -> SuiteConfig:
     raw = {
         "seed": args.seed if args.seed is not None else config.seed,
         "numerics": {
-            "grid_count": args.grid_count or config.grid_count,
-            "window_sigmas": args.window_sigmas or config.window_sigmas,
+            "grid_count": args.grid_count if args.grid_count is not None
+            else config.grid_count,
+            "window_sigmas": args.window_sigmas if args.window_sigmas is not None
+            else config.window_sigmas,
             "tolerances": config.tolerances,
         },
         "corpus": config.corpus,
@@ -268,7 +284,7 @@ def _cmd_discrete(args) -> int:
         return EXIT_USAGE
     report = run_suite(config)
     _emit_suite(report, config, args)
-    return EXIT_VIOLATED if report.violated() else EXIT_OK
+    return _suite_exit(report)
 
 
 def _cmd_inverse(args) -> int:
@@ -295,7 +311,7 @@ def _cmd_inverse(args) -> int:
         sys.stdout.write(text)
     counts = suite.summary()
     print(f"summary: {counts}", file=sys.stderr)
-    return EXIT_VIOLATED if suite.violated() else EXIT_OK
+    return _suite_exit(suite)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ with ``a != 0``; reflection and shift leave the entropy untouched.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -97,6 +100,15 @@ class DensityModel:
 
     def to_dict(self) -> dict:
         raise NotImplementedError
+
+    @cached_property
+    def content_key(self) -> str:
+        """Cache key equal for equal parameters, computed once per instance.
+
+        Content-based on purpose: id()-keyed memoization would alias
+        recycled addresses of dead model objects.
+        """
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -503,6 +515,12 @@ class Gridded(DensityModel):
         cells = np.searchsorted(cum, u, side="right")
         cells = np.clip(cells, 0, spec.count - 1)
         return spec.origin + (cells + rng.random(n)) * spec.step
+
+    @cached_property
+    def content_key(self) -> str:
+        # to_dict records the grid's shape and moments, not its values
+        return (json.dumps(self.to_dict(), sort_keys=True)
+                + hashlib.sha1(self.grid.values.tobytes()).hexdigest())
 
     def to_dict(self):
         spec = self.grid.spec

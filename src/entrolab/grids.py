@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "GridDensity",
     "discretize",
     "convolve",
+    "convolve_power",
     "reflect",
     "entropy",
     "kl_divergence",
@@ -84,12 +86,29 @@ class GridDensity:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    # the values are read-only, so per-grid invariants are computed once
 
-def _normalized(values: np.ndarray, step: float) -> tuple[np.ndarray, float]:
+    @cached_property
+    def moments(self) -> MomentSummary:
+        x = self.spec.centers()
+        step = self.spec.step
+        mean = float(np.sum(x * self.values) * step)
+        var = float(np.sum((x - mean) ** 2 * self.values) * step)
+        return MomentSummary(mean, var)
+
+    @cached_property
+    def occupied(self) -> int:
+        """Cells up to the last nonzero one (at least 1): the grid without its padding."""
+        nz = np.flatnonzero(self.values)
+        return int(nz[-1]) + 1 if nz.size else 1
+
+
+def _normalized(values: np.ndarray, step: float,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     mass = float(values.sum() * step)
     if mass <= 0.0:
         raise GridError("grid carries no mass")
-    return values / mass, abs(1.0 - mass)
+    return np.divide(values, mass, out=out), abs(1.0 - mass)
 
 
 def _truncation_term(tail_mass: float) -> float:
@@ -195,26 +214,63 @@ def _pow2_at_least(n: int) -> int:
     return max(MIN_COUNT, 1 << max(0, (n - 1)).bit_length())
 
 
-def _occupied(f: GridDensity) -> np.ndarray:
-    """Values up to the last nonzero cell, dropping the power-of-two padding."""
-    nz = np.flatnonzero(f.values)
-    return f.values[: nz[-1] + 1] if nz.size else f.values[:1]
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer 2^a * 3^b * 5^c that is >= n (n >= 1)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _sum_from_transform(dens: np.ndarray, step: float, origin: float,
+                        inherited: float, sampling: float) -> GridDensity:
+    """Grid of a sum from its transformed density: the one path after every FFT.
+
+    ``dens`` is the raw density of the sum on cells whose first center is
+    at ``origin + step / 2``; it is overwritten, so that no second array of
+    its size is held.  Negative round-off is clipped and the mass
+    normalized; only the cells above TRIM_FLOOR of the peak are kept (the
+    lower cut on an even index, so the Richardson half grid in ``entropy``
+    pairs the same cells as on the untrimmed grid), zero-padded back to a
+    power of two.  The error estimate is the operands' ``inherited`` error
+    plus the FFT mass defect, the trimmed mass and the ``sampling`` term.
+    """
+    out, defect = _normalized(np.clip(dens, 0.0, None, out=dens), step, out=dens)
+    kept = np.flatnonzero(out > TRIM_FLOOR * out.max())
+    lo, hi = int(kept[0]) & ~1, int(kept[-1]) + 1
+    padded = np.zeros(_pow2_at_least(hi - lo))
+    padded[: hi - lo] = out[lo:hi]
+    values, trimmed = _normalized(padded, step, out=padded)
+    spec = GridSpec(origin=origin + lo * step, step=step, count=padded.size)
+    return GridDensity(spec=spec, values=values, mass_defect=defect,
+                       error_estimate=inherited + _truncation_term(defect)
+                       + _truncation_term(trimmed) + sampling)
+
+
+def _sampling_term(variance: float, step: float) -> float:
+    """SAMPLING_COEF * step^2 / variance; one-cell grids cap it at SAMPLING_COEF."""
+    return SAMPLING_COEF * step * step / max(variance, step * step)
 
 
 def convolve(f: GridDensity, g: GridDensity) -> GridDensity:
     """Density of X + Y for independent X ~ f, Y ~ g.
 
-    Zero-padded FFT convolution sized by the operands' occupied cells;
-    grids with unequal steps are first brought to the coarser step.  The
-    result keeps only the cells above TRIM_FLOOR of its peak (the lower cut
-    on an even index, so the Richardson half grid in ``entropy`` pairs the
-    same cells as on the untrimmed grid) and is zero-padded back to a power
-    of two.  Error estimates add, plus three terms of this step: the FFT
-    mass defect, the trimmed mass, and SAMPLING_COEF * step^2 / variance for
-    the variance the midpoint grid loses to the discrete convolution
-    (Sheppard's correction), which the Richardson estimate cannot see on
-    densities with jumps.  Operands are ordered by content before the
-    transform so the operation commutes exactly, not just within rounding.
+    Zero-padded FFT convolution sized by the operands' occupied cells, at
+    the smallest 5-smooth transform length; grids with unequal steps are
+    first brought to the coarser step.  The result is trimmed and padded
+    by ``_sum_from_transform``.  Error estimates add, plus three terms of
+    this step: the FFT mass defect, the trimmed mass, and SAMPLING_COEF *
+    step^2 / variance for the variance the midpoint grid loses to the
+    discrete convolution (Sheppard's correction), which the Richardson
+    estimate cannot see on densities with jumps.  Operands are ordered by content
+    before the transform so the operation commutes exactly, not just
+    within rounding.
     """
     if not math.isclose(f.spec.step, g.spec.step, rel_tol=1e-9):
         target = max(f.spec.step, g.spec.step)
@@ -226,24 +282,41 @@ def convolve(f: GridDensity, g: GridDensity) -> GridDensity:
             f.spec.count, f.spec.origin, f.values.tobytes()):
         f, g = g, f
     step = f.spec.step
-    fv, gv = _occupied(f), _occupied(g)
+    fv, gv = f.values[: f.occupied], g.values[: g.occupied]
     n = fv.size + gv.size - 1
-    m = _pow2_at_least(n)
-    out = np.fft.irfft(np.fft.rfft(fv, m) * np.fft.rfft(gv, m), m)
-    out, defect = _normalized(np.clip(out[:n] * step, 0.0, None), step)
-    kept = np.flatnonzero(out > TRIM_FLOOR * out.max())
-    lo, hi = int(kept[0]) & ~1, int(kept[-1]) + 1
-    padded = np.zeros(_pow2_at_least(hi - lo))
-    padded[: hi - lo] = out[lo:hi]
-    values, trimmed = _normalized(padded, step)
-    spec = GridSpec(origin=f.spec.origin + g.spec.origin + step / 2.0 + lo * step,
-                    step=step, count=padded.size)
-    # variances add under convolution; one-cell grids cap the term at SAMPLING_COEF
-    variance = grid_moments(f).variance + grid_moments(g).variance
-    sampling = SAMPLING_COEF * step * step / max(variance, step * step)
-    return GridDensity(spec=spec, values=values, mass_defect=defect,
-                       error_estimate=f.error_estimate + g.error_estimate
-                       + _truncation_term(defect) + _truncation_term(trimmed) + sampling)
+    m = _fft_length(n)
+    dens = np.fft.irfft(np.fft.rfft(fv, m) * np.fft.rfft(gv, m), m)[:n] * step
+    # variances add under convolution
+    variance = f.moments.variance + g.moments.variance
+    return _sum_from_transform(dens, step, f.spec.origin + g.spec.origin + step / 2.0,
+                               f.error_estimate + g.error_estimate,
+                               _sampling_term(variance, step))
+
+
+def convolve_power(g: GridDensity, k: int) -> GridDensity:
+    """Density of the sum of k independent copies of X ~ g, as one spectrum power.
+
+    The k-fold convolution is ``irfft(rfft(g * step) ** k) / step`` at the
+    smallest 5-smooth length that holds its support, finished by
+    ``_sum_from_transform`` as in ``convolve``.  The error estimate is k
+    times g's, plus one FFT mass defect and one trimmed mass, plus the
+    sampling terms the k - 1 convolutions of a fold would charge:
+    SAMPLING_COEF * step^2 / (j * variance) for j = 2..k.  k = 1 returns g
+    itself.
+    """
+    if k < 1:
+        raise GridError(f"convolution power needs k >= 1, got {k}")
+    if k == 1:
+        return g
+    step = g.spec.step
+    gv = g.values[: g.occupied]
+    n = k * (gv.size - 1) + 1
+    m = _fft_length(n)
+    dens = np.fft.irfft(np.fft.rfft(gv * step, m) ** k, m)[:n] / step
+    variance = g.moments.variance
+    sampling = sum(_sampling_term(j * variance, step) for j in range(2, k + 1))
+    return _sum_from_transform(dens, step, k * g.spec.origin + (k - 1) * step / 2.0,
+                               k * g.error_estimate, sampling)
 
 
 def _plain_entropy(values: np.ndarray, step: float) -> float:
@@ -267,11 +340,8 @@ def entropy(f: GridDensity) -> tuple[float, float]:
 
 
 def grid_moments(f: GridDensity) -> MomentSummary:
-    x = f.spec.centers()
-    step = f.spec.step
-    mean = float(np.sum(x * f.values) * step)
-    var = float(np.sum((x - mean) ** 2 * f.values) * step)
-    return MomentSummary(mean, var)
+    """Mean and variance of the grid (midpoint rule)."""
+    return f.moments
 
 
 def gaussian_fit(f: GridDensity) -> Gaussian:

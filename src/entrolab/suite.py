@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -123,6 +124,23 @@ def grid_count_field(value, name: str) -> int:
     return count
 
 
+def window_sigmas_field(value, name: str) -> float:
+    """A discretization window half-width in standard deviations: a positive finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or value <= 0:
+        raise ConfigError(f"'{name}' must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def _workers_field(value) -> int | None:
+    """A pool size: an integer >= 1, or None for one worker per CPU."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"'workers' must be an integer >= 1 or null, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> SuiteConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -134,7 +152,8 @@ def config_from_dict(raw: dict) -> SuiteConfig:
 
     numerics = raw.get("numerics", {})
     grid_count = grid_count_field(numerics.get("grid_count", 1 << 14), "numerics.grid_count")
-    window_sigmas = float(numerics.get("window_sigmas", 12.0))
+    window_sigmas = window_sigmas_field(numerics.get("window_sigmas", 12.0),
+                                        "numerics.window_sigmas")
     tolerances = dict(numerics.get("tolerances", {}))
     for cid in tolerances:
         if cid not in VALID_CHECK_IDS:
@@ -181,7 +200,7 @@ def config_from_dict(raw: dict) -> SuiteConfig:
         discrete_trials=_int_field(discrete.get("trials", 100), "discrete.trials"),
         output_path=output.get("path"),
         output_format=fmt,
-        workers=raw.get("workers"),
+        workers=_workers_field(raw.get("workers")),
     )
 
 

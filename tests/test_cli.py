@@ -85,6 +85,11 @@ class TestEntropyCommand:
         assert main(["entropy", "gaussian(0,1)", "--grid-count", count]) == 2
         assert capsys.readouterr().err.startswith("error: '--grid-count' must be a power of two")
 
+    @pytest.mark.parametrize("sigmas", ["0", "-1", "nan"])
+    def test_bad_window_sigmas_exits_2(self, capsys, sigmas):
+        assert main(["entropy", "gaussian(0,1)", "--window-sigmas", sigmas]) == 2
+        assert "--window-sigmas" in capsys.readouterr().err
+
     def test_unbounded_density_exits_2(self, capsys):
         assert main(["entropy", "gamma(0.5,1)"]) == 2
         assert "unbounded" in capsys.readouterr().err
@@ -148,6 +153,16 @@ class TestCheckCommand:
         ("numerics", {"grid_count": 1 << 25}),  # above the grid maximum
         ("corpus_size", 0),
         ("corpus_size", "many"),
+        ("numerics", {"window_sigmas": "wide"}),
+        ("numerics", {"window_sigmas": "nan"}),
+        ("numerics", {"window_sigmas": float("nan")}),
+        ("numerics", {"window_sigmas": float("inf")}),
+        ("numerics", {"window_sigmas": 0}),
+        ("numerics", {"window_sigmas": -1}),
+        ("workers", "two"),
+        ("workers", 0),
+        ("workers", -3),
+        ("workers", 2.5),
     ])
     def test_bad_numbers_rejected_at_load(self, tmp_path, capsys, field, value):
         with pytest.raises(ConfigError):
@@ -155,6 +170,41 @@ class TestCheckCommand:
         cfg = write_config(tmp_path, **{field: value})
         assert main(["check", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_good_window_and_workers_accepted(self):
+        config = config_from_dict({"seed": 1, "numerics": {"window_sigmas": 8},
+                                   "workers": 3})
+        assert config.window_sigmas == 8.0 and config.workers == 3
+        assert config_from_dict({"seed": 1, "workers": None}).workers is None
+
+    @pytest.mark.parametrize("flag", [["--workers", "0"], ["--window-sigmas", "0"],
+                                      ["--grid-count", "0"]])
+    def test_bad_override_exits_2(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path)
+        assert main(["check", "--config", cfg, *flag]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_all_skipped_report_exits_2(self, tmp_path, capsys):
+        # Gamma(0.5) has an unbounded density, so every entry is skipped
+        cfg = write_config(tmp_path, checks=["lower_bound"], trials=3, workers=1,
+                           corpus=[{"kind": "gamma", "shape": 0.5, "scale": 1.0}])
+        assert main(["check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "3 skipped" in err
+        assert "error: every entry was skipped" in err
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["summary"]["skipped"] == len(data["checks"]) == 3
+
+    def test_partly_skipped_report_keeps_exit_0(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, checks=["lower_bound"], trials=8, workers=1,
+                           corpus=[{"kind": "gamma", "shape": 0.5, "scale": 1.0},
+                                   {"kind": "gaussian", "mean": 0, "variance": 1}])
+        assert main(["check", "--config", cfg]) == 0
+        err = capsys.readouterr().err
+        assert "every entry was skipped" not in err
+        summary = json.loads((tmp_path / "report.json").read_text())["summary"]
+        assert 0 < summary["skipped"] < 8
+        assert f"{summary['skipped']} skipped" in err
 
     def test_pool_timings_list_every_family(self, tmp_path, capsys):
         cfg = write_config(tmp_path, checks="all", corpus_size=8)

@@ -1,7 +1,13 @@
+import bisect
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.special import digamma
 
@@ -14,6 +20,7 @@ from entrolab.grids import (
     GridError,
     GridSpec,
     convolve,
+    convolve_power,
     discretize,
     entropy,
     gaussian_fit,
@@ -172,6 +179,111 @@ class TestConvolve:
         f = discretize(Gaussian(0, 1))
         with pytest.raises(GridError):
             resample(f, f.spec.step / 1e9)
+
+
+class TestConvolutionPower:
+    """i.i.d. runs in ``sum_grid`` against an explicit ``convolve`` fold."""
+
+    LAWS = [Gaussian(0.3, 2.0), Uniform(0, 1), Exponential(0.7), Laplace(0.5, 1.2),
+            Mixture((0.3, 0.7), (Gaussian(-2, 0.5), Uniform(0, 3)))]
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("sign", [1, -1])  # -1: the reflected run -X - X' - ...
+    @pytest.mark.parametrize("law", LAWS, ids=lambda m: m.to_dict()["kind"])
+    def test_power_matches_fold(self, ctx, law, sign, k):
+        leaf = ctx.grid(law) if sign > 0 else reflect(ctx.grid(law))
+        fold = leaf
+        for _ in range(k - 1):
+            fold = convolve(fold, leaf)
+        power = ctx.sum_grid([(sign, law)] * k)
+        h_fold, _ = entropy(fold)
+        h_power, err = entropy(power)
+        assert abs(h_power - h_fold) <= err
+        assert grid_moments(power).mean == pytest.approx(grid_moments(fold).mean,
+                                                         abs=leaf.spec.step)
+
+    def test_power_of_one_is_the_operand(self, ctx):
+        g = ctx.grid(Laplace(0, 1))
+        assert convolve_power(g, 1) is g
+        assert ctx.sum_grid([(1, Laplace(0, 1))]) is g
+
+    def test_power_charges_the_fold_sampling_terms(self):
+        g = discretize(Uniform(0, 1))
+        step, var = g.spec.step, grid_moments(g).variance
+        sampling = sum(grids.SAMPLING_COEF * step ** 2 / (j * var) for j in range(2, 6))
+        assert convolve_power(g, 5).error_estimate >= 5 * g.error_estimate + sampling
+
+    def test_nonpositive_power_rejected(self):
+        with pytest.raises(GridError):
+            convolve_power(discretize(Gaussian(0, 1)), 0)
+
+
+_SMOOTH = sorted(p for p in (2 ** a * 3 ** b * 5 ** c
+                             for a in range(27) for b in range(17) for c in range(12))
+                 if p <= 1 << 26)
+
+
+class TestFftLength:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=1 << 25))
+    def test_smallest_five_smooth_at_least_n(self, n):
+        m = grids._fft_length(n)
+        assert m >= n
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1
+        # no 5-smooth integer lies in [n, m)
+        assert _SMOOTH[bisect.bisect_left(_SMOOTH, n)] == m
+
+
+def test_import_loads_no_fft_or_interpolation_module():
+    src = os.path.dirname(os.path.dirname(grids.__file__))
+    code = ("import sys, entrolab; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.fft', 'scipy.interpolate'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+class TestTransformCount:
+    """Deterministic guard on FFT work: count the transforms a sum makes."""
+
+    @pytest.fixture
+    def lengths(self, monkeypatch):
+        seen = []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def counted(fn):
+            def call(a, n=None, *args, **kwargs):
+                seen.append(n)
+                return fn(a, n, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.fft, "rfft", counted(rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted(irfft))
+        return seen
+
+    def test_iterated_sum_transforms(self, lengths):
+        # the n = 3 iterated_sum lhs: one power per run and one convolution
+        x, y = Gaussian(0, 1), Uniform(0, 1)
+        GridContext().entropy(*[(1, x)] * 4, *[(1, y)] * 4)
+        assert len(lengths) <= 7
+
+    def test_iid_pair_is_one_forward_and_one_inverse(self, lengths):
+        GridContext().entropy((1, Laplace(0, 1)), (1, Laplace(0, 1)))
+        assert len(lengths) == 2
+
+    def test_unequal_operands_use_a_five_smooth_length(self, ctx, lengths):
+        # 21,129 + 16,384 - 1 = 37,512 cells: 38,400 = 2^9 * 3 * 5^2 against 65,536
+        f = ctx.sum_grid([(1, Exponential(1.0))] * 2)
+        g = ctx.grid(Exponential(1.0))
+        lengths.clear()
+        convolve(f, g)
+        n = f.occupied + g.occupied - 1
+        assert f.occupied != g.occupied
+        assert n <= lengths[0] < 1 << (n - 1).bit_length()
 
 
 class TestResampleKernel:
