@@ -20,6 +20,7 @@ import sys
 
 from . import __version__
 from .checks import GridContext, inverse_theorem_check
+from .discrete import DISCRETE_REGISTRY_ORDER
 from .distributions import DensityModel, Exponential, Gamma, Gaussian, Laplace, ModelError, Uniform
 from .gaussians import run_bsg_scenario, run_weak_bsg_scenario
 from .grids import GridError
@@ -269,11 +270,7 @@ def _cmd_discrete(args) -> int:
     raw = {
         "seed": args.seed,
         "checks": ["covering_lemma", "functional_submodularity"]
-        + [f"discrete.{c}" for c in
-           ("lower_bound", "sum_upper", "ruzsa_triangle", "triangle_metric",
-            "csumdiff", "c3122", "doubling_difference", "sigma_delta",
-            "sum_difference", "sum_difference_mi", "plunnecke_ruzsa",
-            "four_variable", "iterated_sum")],
+        + [f"discrete.{c}" for c in DISCRETE_REGISTRY_ORDER],
         "discrete": {"group_order": args.group_order, "trials": args.trials},
         "output": {"path": args.out, "format": args.format or "json"},
     }

@@ -27,6 +27,7 @@ __all__ = [
     "check_discrete_registry",
     "random_pmf",
     "DISCRETE_CHECK_IDS",
+    "DISCRETE_REGISTRY_ORDER",
 ]
 
 EXACT_TOL = 1e-12
@@ -108,13 +109,19 @@ def discrete_entropy(j: DiscreteJoint, axes: Sequence[int] | None = None) -> flo
 
 
 def sum_pmf(p: DiscretePmf, q: DiscretePmf) -> DiscretePmf:
-    """Law of X + Y (mod n) for independent X ~ p, Y ~ q."""
+    """Law of X + Y (mod n) for independent X ~ p, Y ~ q.
+
+    One gather builds the n x n table rows[s, x] = q[(s - x) mod n]; then
+    out[s] = p . rows[s], one dot product per row.  A matrix product over
+    the whole table would sum in another order and move results in the
+    last bit.
+    """
     if p.group_order != q.group_order:
         raise ValueError("group orders differ")
     n = p.group_order
-    out = np.zeros(n)
-    for shift in range(n):
-        out[shift] = float(np.dot(p.probs, np.roll(q.probs[::-1], shift + 1)))
+    idx = np.arange(n)
+    rows = q.probs[(idx[:, None] - idx[None, :]) % n]
+    out = np.array([np.dot(p.probs, row) for row in rows])
     return DiscretePmf(n, out)
 
 
@@ -341,6 +348,8 @@ _DISCRETE_EVALS: dict[str, tuple[int, Callable]] = {
     "iterated_sum": (2, _d_iterated_sum),
 }
 
+# registry order: the order in which `entrolab discrete` reports the checks
+DISCRETE_REGISTRY_ORDER = tuple(_DISCRETE_EVALS)
 DISCRETE_CHECK_IDS = tuple(sorted(_DISCRETE_EVALS))
 
 

@@ -24,6 +24,7 @@ from . import __version__
 from .checks import CHECKS, GridContext, default_corpus, run_check
 from .discrete import (
     DISCRETE_CHECK_IDS,
+    MAX_ORDER,
     check_covering_lemma,
     check_discrete_registry,
     check_functional_submodularity,
@@ -105,14 +106,15 @@ def load_config(path: str) -> SuiteConfig:
     return config_from_dict(raw)
 
 
-def _int_field(value, name: str, low: int = 1) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"'{name}' must be an integer, got {value!r}") from e
-    if out < low:
-        raise ConfigError(f"'{name}' must be at least {low}, got {out}")
-    return out
+def _int_field(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """A JSON integer in [low, high]; booleans, floats and strings are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{name}' must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"'{name}' must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"'{name}' must be at most {high}, got {value}")
+    return value
 
 
 def grid_count_field(value, name: str) -> int:
@@ -134,11 +136,7 @@ def window_sigmas_field(value, name: str) -> float:
 
 def _workers_field(value) -> int | None:
     """A pool size: an integer >= 1, or None for one worker per CPU."""
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"'workers' must be an integer >= 1 or null, got {value!r}")
-    return value
+    return None if value is None else _int_field(value, "workers")
 
 
 def config_from_dict(raw: dict) -> SuiteConfig:
@@ -196,7 +194,8 @@ def config_from_dict(raw: dict) -> SuiteConfig:
         corpus_size=_int_field(raw.get("corpus_size", 100), "corpus_size"),
         checks=checks,
         trials=trials,
-        discrete_group_order=_int_field(discrete.get("group_order", 6), "discrete.group_order"),
+        discrete_group_order=_int_field(discrete.get("group_order", 6), "discrete.group_order",
+                                        low=2, high=MAX_ORDER),
         discrete_trials=_int_field(discrete.get("trials", 100), "discrete.trials"),
         output_path=output.get("path"),
         output_format=fmt,

@@ -163,6 +163,14 @@ class TestCheckCommand:
         ("workers", 0),
         ("workers", -3),
         ("workers", 2.5),
+        ("corpus_size", 2.5),  # not truncated to 2
+        ("corpus_size", True),
+        ("trials", "3"),
+        ("trials", 3.0),
+        ("discrete", {"group_order": 6.9}),
+        ("discrete", {"group_order": 65}),  # above discrete.MAX_ORDER
+        ("discrete", {"group_order": 1}),  # the trivial group
+        ("discrete", {"trials": 0}),
     ])
     def test_bad_numbers_rejected_at_load(self, tmp_path, capsys, field, value):
         with pytest.raises(ConfigError):
@@ -176,6 +184,11 @@ class TestCheckCommand:
                                    "workers": 3})
         assert config.window_sigmas == 8.0 and config.workers == 3
         assert config_from_dict({"seed": 1, "workers": None}).workers is None
+
+    @pytest.mark.parametrize("order", [2, 64])
+    def test_group_order_bounds_accepted(self, order):
+        config = config_from_dict({"seed": 1, "discrete": {"group_order": order}})
+        assert config.discrete_group_order == order
 
     @pytest.mark.parametrize("flag", [["--workers", "0"], ["--window-sigmas", "0"],
                                       ["--grid-count", "0"]])
@@ -279,6 +292,23 @@ class TestDiscreteCommand:
                      "--trials", "10", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["summary"]["violated"] == 0
+
+    def test_report_lists_checks_in_registry_order(self, tmp_path, capsys):
+        out = tmp_path / "disc.json"
+        assert main(["discrete", "--seed", "3", "--group-order", "3",
+                     "--trials", "1", "--out", str(out)]) == 0
+        ids = [c["check_id"] for c in json.loads(out.read_text())["checks"]]
+        assert ids == ["covering_lemma", "functional_submodularity"] + [
+            f"discrete.{c}" for c in (
+                "lower_bound", "sum_upper", "ruzsa_triangle", "triangle_metric",
+                "csumdiff", "c3122", "doubling_difference", "sigma_delta",
+                "sum_difference", "sum_difference_mi", "plunnecke_ruzsa",
+                "four_variable", "iterated_sum")]
+
+    @pytest.mark.parametrize("order", ["1", "65"])
+    def test_bad_group_order_exits_2(self, capsys, order):
+        assert main(["discrete", "--seed", "3", "--group-order", order]) == 2
+        assert "discrete.group_order" in capsys.readouterr().err
 
 
 class TestInverseCommand:

@@ -76,6 +76,35 @@ class TestSumPmf:
         with pytest.raises(ValueError):
             sum_pmf(pmf(0.5, 0.5), pmf(0.5, 0.25, 0.25))
 
+    @pytest.mark.parametrize("order", range(2, 65))
+    def test_gather_matches_roll_reference_bit_for_bit(self, order):
+        rng = np.random.default_rng(order)
+        for trial in range(8):
+            p, q = random_pmf(rng, order), random_pmf(rng, order)
+            if trial % 2:  # sparse supports put exact zeros in the rows
+                p = DiscretePmf(order, _sparsify(rng, p.probs))
+            got = sum_pmf(p, q).probs
+            assert np.array_equal(got, _roll_sum_reference(p, q).probs)
+            definition = np.array([sum(p.probs[x] * q.probs[(s - x) % order]
+                                       for x in range(order)) for s in range(order)])
+            assert np.max(np.abs(got - definition)) <= 1e-15
+
+
+def _roll_sum_reference(p, q):
+    """sum_pmf as it was first written: one np.roll of the reversed q per output cell."""
+    n = p.group_order
+    out = np.zeros(n)
+    for shift in range(n):
+        out[shift] = float(np.dot(p.probs, np.roll(q.probs[::-1], shift + 1)))
+    return DiscretePmf(n, out)
+
+
+def _sparsify(rng, probs):
+    keep = rng.random(len(probs)) < 0.5
+    keep[rng.integers(len(probs))] = True
+    out = np.where(keep, probs, 0.0)
+    return out / out.sum()
+
 
 class TestFunctionalSubmodularity:
     def test_equal_variables_identity_maps(self):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import digamma
 
 from entrolab.distributions import Exponential, Gaussian, Uniform, sample
-from entrolab.estimators import estimate_functional, knn_entropy
+from entrolab.estimators import _knn_point_estimate, estimate_functional, knn_entropy
 
 LN_2PI_E = math.log(2 * math.pi * math.e)
 
@@ -56,6 +59,65 @@ class TestKnnEntropy:
             knn_entropy(np.arange(100.0), 0)
         with pytest.raises(ValueError):
             knn_entropy(np.arange(100.0), 100)
+
+
+def _partition_reference(xs, k):
+    """The window scan's predecessor: an n x 2k candidate matrix and np.partition."""
+    xs = np.sort(xs)
+    n = len(xs)
+    cand = np.full((n, 2 * k), np.inf)
+    for j in range(1, k + 1):
+        gaps = xs[j:] - xs[:-j]
+        cand[j:, j - 1] = gaps
+        cand[:-j, k + j - 1] = gaps
+    eps = np.partition(cand, k - 1, axis=1)[:, k - 1]
+    eps = np.clip(eps, 1e-300, None)
+    return float(digamma(n) - digamma(k) + np.mean(np.log(2.0 * eps)))
+
+
+def _brute_force_reference(xs, k):
+    """k-th neighbor distance of every sorted sample from all n - 1 distances."""
+    xs = np.sort(xs)
+    n = len(xs)
+    dist = np.abs(xs[:, None] - xs[None, :])
+    np.fill_diagonal(dist, np.inf)
+    eps = np.clip(np.sort(dist, axis=1)[:, k - 1], 1e-300, None)
+    return float(digamma(n) - digamma(k) + np.mean(np.log(2.0 * eps)))
+
+
+@st.composite
+def knn_samples(draw, max_n):
+    """(samples, k): unsorted, with exact ties and duplicates in some draws."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k + 1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs = rng.normal(size=n) * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    ties = draw(st.sampled_from(["none", "rounded", "duplicated"]))
+    if ties == "rounded":  # few distinct values: runs of exact ties
+        xs = np.round(xs / np.std(xs) * draw(st.integers(1, 8)))
+    elif ties == "duplicated":  # about 30% of the samples share one value
+        xs[rng.random(n) < 0.3] = xs[0]
+    return rng.permutation(xs), k
+
+
+class TestKnnKernel:
+    @given(knn_samples(max_n=3000))
+    @settings(max_examples=200, deadline=None)
+    def test_window_scan_matches_partition_bit_for_bit(self, case):
+        xs, k = case
+        assert _knn_point_estimate(xs, k).hex() == _partition_reference(xs, k).hex()
+
+    @given(knn_samples(max_n=120))
+    @settings(max_examples=100, deadline=None)
+    def test_window_scan_matches_brute_force(self, case):
+        xs, k = case
+        assert _knn_point_estimate(xs, k).hex() == _brute_force_reference(xs, k).hex()
+
+    def test_fewest_samples(self):
+        # n = k + 1: every other sample is a neighbor, so eps is the farther end
+        xs = np.array([0.0, 1.0, 3.0])
+        expected = digamma(3) - digamma(2) + np.mean(np.log(2.0 * np.array([3.0, 2.0, 3.0])))
+        assert _knn_point_estimate(xs, 2) == pytest.approx(expected, abs=1e-15)
 
 
 class TestOracleAgreement:
