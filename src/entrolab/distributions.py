@@ -21,7 +21,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import special
+
+from . import _special
 
 if TYPE_CHECKING:  # pragma: no cover
     from .grids import GridDensity
@@ -135,10 +136,10 @@ class Gaussian(DensityModel):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return special.ndtr((x - self.mean) / math.sqrt(self.variance))
+        return _special.ndtr((x - self.mean) / math.sqrt(self.variance))
 
     def window(self, eps: float = TAIL_EPS):
-        half = -special.ndtri(eps) * math.sqrt(self.variance)
+        half = -_special.ndtri(eps) * math.sqrt(self.variance)
         return (self.mean - half, self.mean + half)
 
     def affine(self, a, b):
@@ -328,7 +329,7 @@ class Gamma(DensityModel):
 
     def closed_form_entropy(self) -> float:
         k = self.shape
-        return k + math.log(self.scale) + math.lgamma(k) + (1.0 - k) * special.digamma(k)
+        return k + math.log(self.scale) + math.lgamma(k) + (1.0 - k) * _special.digamma(k)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -343,7 +344,7 @@ class Gamma(DensityModel):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         t = np.clip(self._sign() * (x - self.shift) / self.scale, 0.0, None)
-        c = special.gammainc(self.shape, t)
+        c = _special.gammainc(self.shape, t)
         return 1.0 - c if self.reflected else c
 
     def support(self):
@@ -352,7 +353,7 @@ class Gamma(DensityModel):
         return (self.shift, math.inf)
 
     def window(self, eps: float = TAIL_EPS):
-        reach = special.gammaincinv(self.shape, 1.0 - eps) * self.scale
+        reach = _special.gammainccinv(self.shape, eps) * self.scale
         if self.reflected:
             return (self.shift - reach, self.shift)
         return (self.shift, self.shift + reach)

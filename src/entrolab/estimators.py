@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import digamma
 
 from .distributions import DensityModel
 
@@ -38,6 +37,11 @@ class EstimateResult:
     k: int
 
 
+def _psi_gap(n: int, k: int) -> float:
+    """digamma(n) - digamma(k) for integers n >= k >= 1: sum_{j=k}^{n-1} 1/j."""
+    return float(np.sum(1.0 / np.arange(k, n)))
+
+
 def _knn_point_estimate(xs: np.ndarray, k: int) -> float:
     """Digamma k-NN estimate on jittered 1D samples.
 
@@ -58,7 +62,7 @@ def _knn_point_estimate(xs: np.ndarray, k: int) -> float:
         right = ext[2 * k - a:2 * k - a + n] - xs  # R_{k-a}
         np.minimum(eps, np.maximum(left, right, out=left), out=eps)
     eps = np.clip(eps, 1e-300, None)
-    return float(digamma(n) - digamma(k) + np.mean(np.log(2.0 * eps)))
+    return float(_psi_gap(n, k) + np.mean(np.log(2.0 * eps)))
 
 
 def knn_entropy(samples: Sequence[float], k: int = DEFAULT_K) -> EstimateResult:

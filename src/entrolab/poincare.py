@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .distributions import DensityModel, Exponential, Gaussian, ModelError, Uniform
 
@@ -109,6 +108,10 @@ def _rayleigh_max(m, lo, hi, count):
     k_diag[1:] += k_off
     d = k_diag / mass
     e = -k_off / (np.sqrt(mass[:-1]) * np.sqrt(mass[1:]))
+    # numpy has no tridiagonal eigensolver; scipy loads on the first spectral
+    # estimate, which only laws without a closed-form constant reach
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 1),
                                 eigvals_only=True)

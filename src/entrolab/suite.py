@@ -126,12 +126,42 @@ def grid_count_field(value, name: str) -> int:
     return count
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number other than NaN or an infinity; booleans and strings are not numbers."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and math.isfinite(value)
+
+
 def window_sigmas_field(value, name: str) -> float:
     """A discretization window half-width in standard deviations: a positive finite number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value) or value <= 0:
+    if not _is_finite_number(value) or value <= 0:
         raise ConfigError(f"'{name}' must be a positive finite number, got {value!r}")
     return float(value)
+
+
+def _tolerances_field(value) -> dict:
+    """Per-check err allowances: known check ids mapped to finite numbers >= 0.
+
+    An allowance widens a verdict's error band, so a negative one would
+    shrink err below the numerical error it bounds.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"'numerics.tolerances' must be a JSON object, got {value!r}")
+    for cid, tol in value.items():
+        if cid not in VALID_CHECK_IDS:
+            raise ConfigError(f"tolerance override for unknown check id '{cid}'")
+        if not _is_finite_number(tol) or tol < 0:
+            raise ConfigError(f"'numerics.tolerances.{cid}' must be a finite number "
+                              f">= 0, got {tol!r}")
+    return dict(value)
+
+
+def _section(raw: dict, key: str) -> dict:
+    """An optional JSON object field of the config; absent means empty."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{key}' must be a JSON object, got {value!r}")
+    return value
 
 
 def _workers_field(value) -> int | None:
@@ -145,17 +175,14 @@ def config_from_dict(raw: dict) -> SuiteConfig:
     if "seed" not in raw:
         raise ConfigError("config requires a 'seed' field")
     seed = raw["seed"]
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
-    numerics = raw.get("numerics", {})
+    numerics = _section(raw, "numerics")
     grid_count = grid_count_field(numerics.get("grid_count", 1 << 14), "numerics.grid_count")
     window_sigmas = window_sigmas_field(numerics.get("window_sigmas", 12.0),
                                         "numerics.window_sigmas")
-    tolerances = dict(numerics.get("tolerances", {}))
-    for cid in tolerances:
-        if cid not in VALID_CHECK_IDS:
-            raise ConfigError(f"tolerance override for unknown check id '{cid}'")
+    tolerances = _tolerances_field(numerics.get("tolerances", {}))
 
     checks = raw.get("checks", "all")
     if checks != "all":
@@ -175,8 +202,8 @@ def config_from_dict(raw: dict) -> SuiteConfig:
         except ModelError as e:
             raise ConfigError(f"bad corpus model spec: {e}") from e
 
-    discrete = raw.get("discrete", {})
-    output = raw.get("output", {})
+    discrete = _section(raw, "discrete")
+    output = _section(raw, "output")
     fmt = output.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"output format must be json or csv, got '{fmt}'")

@@ -171,6 +171,16 @@ class TestCheckCommand:
         ("discrete", {"group_order": 65}),  # above discrete.MAX_ORDER
         ("discrete", {"group_order": 1}),  # the trivial group
         ("discrete", {"trials": 0}),
+        ("numerics", {"tolerances": {"lower_bound": "x"}}),
+        ("numerics", {"tolerances": {"lower_bound": -5}}),  # would make err negative
+        ("numerics", {"tolerances": {"lower_bound": float("nan")}}),
+        ("numerics", {"tolerances": {"lower_bound": float("inf")}}),
+        ("numerics", {"tolerances": {"lower_bound": True}}),
+        ("numerics", {"tolerances": ["lower_bound"]}),
+        ("numerics", []),  # sections must be objects
+        ("discrete", 5),
+        ("output", "x"),
+        ("seed", True),
     ])
     def test_bad_numbers_rejected_at_load(self, tmp_path, capsys, field, value):
         with pytest.raises(ConfigError):
@@ -184,6 +194,11 @@ class TestCheckCommand:
                                    "workers": 3})
         assert config.window_sigmas == 8.0 and config.workers == 3
         assert config_from_dict({"seed": 1, "workers": None}).workers is None
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-3, 2])
+    def test_good_tolerance_accepted(self, tol):
+        config = config_from_dict({"seed": 1, "numerics": {"tolerances": {"lower_bound": tol}}})
+        assert config.tolerances == {"lower_bound": tol}
 
     @pytest.mark.parametrize("order", [2, 64])
     def test_group_order_bounds_accepted(self, order):

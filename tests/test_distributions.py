@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import entrolab
 from entrolab.distributions import (
     Exponential,
     Gamma,
@@ -194,6 +198,19 @@ class TestPoincare:
         est = spectral_poincare(model)
         assert est is not None
         assert abs(est - expected) / expected < 0.01
+
+    def test_laplace_constant_loads_the_eigensolver_on_first_use(self):
+        # a fresh interpreter: this test process has scipy loaded already
+        code = ("import sys; from entrolab import Laplace, poincare_constant; "
+                "assert not [m for m in sys.modules if m.startswith('scipy')]; "
+                "r = poincare_constant(Laplace(1.0, 0.5)); "
+                "print(r, 'scipy.linalg' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(entrolab.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        value, loaded = out.stdout.split()
+        assert abs(float(value) - 1.0) < 0.01  # R = 4 b^2 for Laplace(., b)
+        assert loaded == "True"
 
     def test_mixture_constant_is_finite_and_large(self):
         # well-separated modes force a small spectral gap

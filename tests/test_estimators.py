@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from entrolab.distributions import Exponential, Gaussian, Uniform, sample
-from entrolab.estimators import _knn_point_estimate, estimate_functional, knn_entropy
+from entrolab.estimators import _knn_point_estimate, _psi_gap, estimate_functional, knn_entropy
 
 LN_2PI_E = math.log(2 * math.pi * math.e)
 
@@ -72,7 +72,7 @@ def _partition_reference(xs, k):
         cand[:-j, k + j - 1] = gaps
     eps = np.partition(cand, k - 1, axis=1)[:, k - 1]
     eps = np.clip(eps, 1e-300, None)
-    return float(digamma(n) - digamma(k) + np.mean(np.log(2.0 * eps)))
+    return float(_psi_gap(n, k) + np.mean(np.log(2.0 * eps)))
 
 
 def _brute_force_reference(xs, k):
@@ -82,7 +82,7 @@ def _brute_force_reference(xs, k):
     dist = np.abs(xs[:, None] - xs[None, :])
     np.fill_diagonal(dist, np.inf)
     eps = np.clip(np.sort(dist, axis=1)[:, k - 1], 1e-300, None)
-    return float(digamma(n) - digamma(k) + np.mean(np.log(2.0 * eps)))
+    return float(_psi_gap(n, k) + np.mean(np.log(2.0 * eps)))
 
 
 @st.composite
@@ -101,6 +101,10 @@ def knn_samples(draw, max_n):
 
 
 class TestKnnKernel:
+    """The neighbour scan against two references that share its psi(n) - psi(k)
+    term, :func:`_psi_gap`, so the scan itself is pinned bit for bit;
+    ``TestPsiGap`` pins that term against scipy's digamma."""
+
     @given(knn_samples(max_n=3000))
     @settings(max_examples=200, deadline=None)
     def test_window_scan_matches_partition_bit_for_bit(self, case):
