@@ -146,12 +146,14 @@ def check_functional_submodularity(
     f_map: Sequence[int],
     g_map: Sequence[int],
     r_map: np.ndarray,
+    extra_err: float = 0.0,
 ) -> InequalityReport:
     """H(R(X1,X2)) + H(X0) <= H(X1) + H(X2) with X0 = F(X1) = G(X2) on the support.
 
     f_map/g_map give F and G by value tables on the two alphabets; r_map is
     a value table on the product.  Raises when F(X1) != G(X2) somewhere on
-    the support, since X0 is then ill-defined.
+    the support, since X0 is then ill-defined.  extra_err widens the error
+    band (a configured per-check tolerance) on top of EXACT_TOL.
     """
     if len(joint.dims) != 2:
         raise ValueError("needs a two-axis joint")
@@ -172,7 +174,7 @@ def check_functional_submodularity(
     h0 = _entropy_of(np.bincount(f_arr, weights=joint.marginal([0])))
     h12 = _entropy_of(np.bincount(r_arr.ravel(), weights=joint.table.ravel()))
     return make_report("functional_submodularity", lhs=h12 + h0, rhs=h1 + h2,
-                       err=EXACT_TOL)
+                       err=EXACT_TOL + extra_err)
 
 
 def _covering_joint(p: DiscretePmf, q: DiscretePmf) -> DiscreteJoint:
@@ -192,20 +194,23 @@ def _covering_joint(p: DiscretePmf, q: DiscretePmf) -> DiscreteJoint:
     return DiscreteJoint((n, n, n, n), table)
 
 
-def check_covering_lemma(p: DiscretePmf, q: DiscretePmf) -> InequalityReport:
+def check_covering_lemma(p: DiscretePmf, q: DiscretePmf,
+                         extra_err: float = 0.0) -> InequalityReport:
     """Exact identity H(X1, X2, Y1 | Y2) = 2 H(X) + H(Y) - H(X+Y).
 
     The conditional copies share the sum, so the left side is computable
     from the explicit four-variable joint; the continuous analog fails
     (the conditioned triple is degenerate there), which is why this check
-    lives in the discrete lab only.
+    lives in the discrete lab only.  extra_err widens the error band as in
+    ``check_functional_submodularity``.
     """
     if p.group_order != q.group_order:
         raise ValueError("group orders differ")
     joint = _covering_joint(p, q)
     lhs = discrete_entropy(joint) - discrete_entropy(joint, [3])
     rhs = 2.0 * p.entropy() + q.entropy() - sum_pmf(p, q).entropy()
-    return make_report("covering_lemma", lhs=lhs, rhs=rhs, err=EXACT_TOL, kind="identity")
+    return make_report("covering_lemma", lhs=lhs, rhs=rhs, err=EXACT_TOL + extra_err,
+                       kind="identity")
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +370,12 @@ def check_discrete_registry(
     check_id: str,
     pmfs: Sequence[DiscretePmf],
     params: dict | None = None,
+    extra_err: float = 0.0,
 ) -> InequalityReport:
-    """Exact Shannon-entropy analog of a registered sumset check."""
+    """Exact Shannon-entropy analog of a registered sumset check.
+
+    extra_err widens the error band as in ``check_functional_submodularity``.
+    """
     if check_id not in _DISCRETE_EVALS:
         raise KeyError(f"unknown discrete check '{check_id}'")
     params = dict(params or {})
@@ -382,7 +391,7 @@ def check_discrete_registry(
         raise ValueError("all pmfs must share one group order")
     _, evaluator = _DISCRETE_EVALS[check_id]
     lhs, rhs, note, degenerate = evaluator(tuple(pmfs), params)
-    return make_report(f"discrete.{check_id}", lhs=lhs, rhs=rhs, err=EXACT_TOL,
+    return make_report(f"discrete.{check_id}", lhs=lhs, rhs=rhs, err=EXACT_TOL + extra_err,
                        params=params, note=note, degenerate=degenerate,
                        inputs=tuple({"group_order": p.group_order,
                                      "probs": p.probs.tolist()} for p in pmfs))

@@ -461,27 +461,17 @@ class Gridded(DensityModel):
 
     grid: "GridDensity"
 
-    def _axes(self):
-        spec = self.grid.spec
-        centers = spec.origin + (np.arange(spec.count) + 0.5) * spec.step
-        return centers, spec.step
-
     def moments(self) -> MomentSummary:
-        x, step = self._axes()
-        v = self.grid.values
-        mean = float(np.sum(x * v) * step)
-        var = float(np.sum((x - mean) ** 2 * v) * step)
-        return MomentSummary(mean, var)
+        return self.grid.moments
 
     def pdf(self, x):
-        centers, _ = self._axes()
-        return np.interp(np.asarray(x, dtype=float), centers, self.grid.values,
-                         left=0.0, right=0.0)
+        return np.interp(np.asarray(x, dtype=float), self.grid.spec.centers(),
+                         self.grid.values, left=0.0, right=0.0)
 
     def cdf(self, x):
-        centers, step = self._axes()
-        cum = np.cumsum(self.grid.values) * step
-        return np.interp(np.asarray(x, dtype=float), centers, cum, left=0.0, right=1.0)
+        cum = np.cumsum(self.grid.values) * self.grid.spec.step
+        return np.interp(np.asarray(x, dtype=float), self.grid.spec.centers(), cum,
+                         left=0.0, right=1.0)
 
     def support(self):
         spec = self.grid.spec

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,7 +37,8 @@ MIN_COUNT = 256
 MAX_COUNT = 1 << 24
 DENSITY_FLOOR = 1e-300
 TRUNCATION_LIMIT = 1e-6
-# convolution cells below this fraction of the peak are FFT round-off; trimmed
+# cells below this fraction of the peak are dropped from every grid (for a sum
+# they are FFT round-off); the mass they carry is charged to the error estimate
 TRIM_FLOOR = 1e-15
 # entropy error per convolution, in units of step^2 / variance of the sum
 SAMPLING_COEF = 1.0 / 24.0
@@ -49,7 +50,10 @@ class GridError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform cell-centered grid: cell i spans [origin + i*step, origin + (i+1)*step)."""
+    """Uniform cell-centered grid: cell i spans [origin + i*step, origin + (i+1)*step).
+
+    The count is even, so the cells pair up for the half grid in ``entropy``.
+    """
 
     origin: float
     step: float
@@ -58,8 +62,8 @@ class GridSpec:
     def __post_init__(self):
         if self.step <= 0.0 or not math.isfinite(self.step):
             raise GridError(f"grid step must be positive, got {self.step}")
-        if self.count < MIN_COUNT or self.count & (self.count - 1):
-            raise GridError(f"grid count must be a power of two >= {MIN_COUNT}, got {self.count}")
+        if self.count < 2 or self.count % 2:
+            raise GridError(f"grid count must be even and >= 2, got {self.count}")
 
     @property
     def width(self) -> float:
@@ -77,12 +81,12 @@ class GridDensity:
     error_estimate: float  # entropy truncation/propagation bound in nats
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.spec.count,):
             raise GridError("values length must match grid count")
-        if np.any(v < 0.0) or not np.all(np.isfinite(v)):
+        # a NaN fails the first test, an infinity the second
+        if not (v.min() >= 0.0 and math.isfinite(v.sum())):
             raise GridError("grid values must be finite and nonnegative")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -95,12 +99,6 @@ class GridDensity:
         mean = float(np.sum(x * self.values) * step)
         var = float(np.sum((x - mean) ** 2 * self.values) * step)
         return MomentSummary(mean, var)
-
-    @cached_property
-    def occupied(self) -> int:
-        """Cells up to the last nonzero one (at least 1): the grid without its padding."""
-        nz = np.flatnonzero(self.values)
-        return int(nz[-1]) + 1 if nz.size else 1
 
 
 def _normalized(values: np.ndarray, step: float,
@@ -122,8 +120,13 @@ def discretize(m: DensityModel, window_sigmas: float = 12.0, count: int = 1 << 1
 
     The window is the wider of mean +/- window_sigmas * stddev and the
     1e-13 two-sided quantile range, intersected with the support, so that
-    exponential-type tails stay covered at any sigma setting.
+    exponential-type tails stay covered at any sigma setting.  The model is
+    sampled at ``count`` cells (a power of two) and cut to its live cells
+    by ``_live_grid``; the window's tail mass, the sampling mass defect and
+    the dropped mass make up the error estimate.
     """
+    if count < MIN_COUNT or count & (count - 1):
+        raise GridError(f"grid count must be a power of two >= {MIN_COUNT}, got {count}")
     if not m.bounded_density():
         raise GridError("model density is unbounded on its support; grid pipeline rejected")
     mom = m.moments()
@@ -141,11 +144,9 @@ def discretize(m: DensityModel, window_sigmas: float = 12.0, count: int = 1 << 1
             f"truncated mass {tail:.3g} exceeds {TRUNCATION_LIMIT}; tail too heavy for grid pipeline"
         )
 
-    spec = GridSpec(origin=lo, step=(hi - lo) / count, count=count)
-    raw = m.pdf(spec.centers())
-    values, defect = _normalized(raw, spec.step)
-    return GridDensity(spec=spec, values=values, mass_defect=defect,
-                       error_estimate=_truncation_term(tail) + _truncation_term(defect))
+    step = (hi - lo) / count
+    raw = np.asarray(m.pdf(lo + (np.arange(count) + 0.5) * step), dtype=float)
+    return _live_grid(raw, lo, step, _truncation_term(tail))
 
 
 def reflect(f: GridDensity) -> GridDensity:
@@ -157,9 +158,15 @@ def reflect(f: GridDensity) -> GridDensity:
 
 
 def resample(f: GridDensity, step: float) -> GridDensity:
-    """Re-express f on a grid with the given step (monotone cubic interpolation)."""
+    """Re-express f on a grid with the given step (monotone cubic interpolation).
+
+    The grid starts at f's origin and spans f's width in ceil(width / step)
+    cells, rounded up to even; cells whose centers lie past f's last center
+    are zero.
+    """
     spec = f.spec
-    count = _pow2_at_least(int(math.ceil(spec.width / step)))
+    count = math.ceil(spec.width / step)
+    count += count % 2
     if count > MAX_COUNT:
         raise GridError(
             f"resampling to step {step:.3g} needs {count} cells; step ratio not representable"
@@ -210,10 +217,7 @@ def _end_slope(m0: float, m1: float) -> float:
     return d
 
 
-def _pow2_at_least(n: int) -> int:
-    return max(MIN_COUNT, 1 << max(0, (n - 1)).bit_length())
-
-
+@lru_cache(maxsize=None)
 def _fft_length(n: int) -> int:
     """Smallest 5-smooth integer 2^a * 3^b * 5^c that is >= n (n >= 1)."""
     best = 1 << (n - 1).bit_length()
@@ -228,29 +232,31 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _sum_from_transform(dens: np.ndarray, step: float, origin: float,
-                        inherited: float, sampling: float) -> GridDensity:
-    """Grid of a sum from its transformed density: the one path after every FFT.
+def _live_grid(raw: np.ndarray, origin: float, step: float, inherited: float) -> GridDensity:
+    """Grid of the live cells of a raw density: how discretize and both sums end.
 
-    ``dens`` is the raw density of the sum on cells whose first center is
-    at ``origin + step / 2``; it is overwritten, so that no second array of
-    its size is held.  Negative round-off is clipped and the mass
-    normalized; only the cells above TRIM_FLOOR of the peak are kept (the
-    lower cut on an even index, so the Richardson half grid in ``entropy``
-    pairs the same cells as on the untrimmed grid), zero-padded back to a
-    power of two.  The error estimate is the operands' ``inherited`` error
-    plus the FFT mass defect, the trimmed mass and the ``sampling`` term.
+    ``raw`` holds densities on cells of the given step whose first cell
+    starts at ``origin``; it is overwritten, so that no second array of its
+    size is held.  Negative round-off is clipped, the mass is normalized and
+    only the cells above TRIM_FLOOR of the peak are kept.  The lower cut is
+    on an even index and an odd run gets one zero cell appended, so the
+    count is even and the half grid in ``entropy`` pairs the same cells as
+    on the uncut grid.  The error estimate is ``inherited`` plus the mass
+    defect and the dropped mass.
     """
-    out, defect = _normalized(np.clip(dens, 0.0, None, out=dens), step, out=dens)
-    kept = np.flatnonzero(out > TRIM_FLOOR * out.max())
-    lo, hi = int(kept[0]) & ~1, int(kept[-1]) + 1
-    padded = np.zeros(_pow2_at_least(hi - lo))
-    padded[: hi - lo] = out[lo:hi]
-    values, trimmed = _normalized(padded, step, out=padded)
-    spec = GridSpec(origin=origin + lo * step, step=step, count=padded.size)
-    return GridDensity(spec=spec, values=values, mass_defect=defect,
+    values, defect = _normalized(np.clip(raw, 0.0, None, out=raw), step, out=raw)
+    live = values > TRIM_FLOOR * values.max()
+    lo = int(np.argmax(live)) & ~1
+    hi = live.size - int(np.argmax(live[::-1]))
+    # summed from the dropped cells: 1 - (kept mass) would round it away
+    dropped = float(values[:lo].sum() + values[hi:].sum()) * step
+    kept = np.zeros((hi - lo + 1) & ~1)
+    kept[: hi - lo] = values[lo:hi]
+    kept, _ = _normalized(kept, step, out=kept)
+    spec = GridSpec(origin=origin + lo * step, step=step, count=kept.size)
+    return GridDensity(spec=spec, values=kept, mass_defect=defect,
                        error_estimate=inherited + _truncation_term(defect)
-                       + _truncation_term(trimmed) + sampling)
+                       + _truncation_term(dropped))
 
 
 def _sampling_term(variance: float, step: float) -> float:
@@ -261,10 +267,10 @@ def _sampling_term(variance: float, step: float) -> float:
 def convolve(f: GridDensity, g: GridDensity) -> GridDensity:
     """Density of X + Y for independent X ~ f, Y ~ g.
 
-    Zero-padded FFT convolution sized by the operands' occupied cells, at
-    the smallest 5-smooth transform length; grids with unequal steps are
-    first brought to the coarser step.  The result is trimmed and padded
-    by ``_sum_from_transform``.  Error estimates add, plus three terms of
+    Zero-padded FFT convolution of the operands' cells, at the smallest
+    5-smooth transform length; grids with unequal steps are first brought
+    to the coarser step.  The result is cut to its live cells by
+    ``_live_grid``.  Error estimates add, plus three terms of
     this step: the FFT mass defect, the trimmed mass, and SAMPLING_COEF *
     step^2 / variance for the variance the midpoint grid loses to the
     discrete convolution (Sheppard's correction), which the Richardson
@@ -282,15 +288,13 @@ def convolve(f: GridDensity, g: GridDensity) -> GridDensity:
             f.spec.count, f.spec.origin, f.values.tobytes()):
         f, g = g, f
     step = f.spec.step
-    fv, gv = f.values[: f.occupied], g.values[: g.occupied]
-    n = fv.size + gv.size - 1
+    n = f.spec.count + g.spec.count - 1
     m = _fft_length(n)
-    dens = np.fft.irfft(np.fft.rfft(fv, m) * np.fft.rfft(gv, m), m)[:n] * step
+    dens = np.fft.irfft(np.fft.rfft(f.values, m) * np.fft.rfft(g.values, m), m)[:n] * step
     # variances add under convolution
     variance = f.moments.variance + g.moments.variance
-    return _sum_from_transform(dens, step, f.spec.origin + g.spec.origin + step / 2.0,
-                               f.error_estimate + g.error_estimate,
-                               _sampling_term(variance, step))
+    return _live_grid(dens, f.spec.origin + g.spec.origin + step / 2.0, step,
+                      f.error_estimate + g.error_estimate + _sampling_term(variance, step))
 
 
 def convolve_power(g: GridDensity, k: int) -> GridDensity:
@@ -298,7 +302,7 @@ def convolve_power(g: GridDensity, k: int) -> GridDensity:
 
     The k-fold convolution is ``irfft(rfft(g * step) ** k) / step`` at the
     smallest 5-smooth length that holds its support, finished by
-    ``_sum_from_transform`` as in ``convolve``.  The error estimate is k
+    ``_live_grid`` as in ``convolve``.  The error estimate is k
     times g's, plus one FFT mass defect and one trimmed mass, plus the
     sampling terms the k - 1 convolutions of a fold would charge:
     SAMPLING_COEF * step^2 / (j * variance) for j = 2..k.  k = 1 returns g
@@ -309,14 +313,13 @@ def convolve_power(g: GridDensity, k: int) -> GridDensity:
     if k == 1:
         return g
     step = g.spec.step
-    gv = g.values[: g.occupied]
-    n = k * (gv.size - 1) + 1
+    n = k * (g.spec.count - 1) + 1
     m = _fft_length(n)
-    dens = np.fft.irfft(np.fft.rfft(gv * step, m) ** k, m)[:n] / step
+    dens = np.fft.irfft(np.fft.rfft(g.values * step, m) ** k, m)[:n] / step
     variance = g.moments.variance
     sampling = sum(_sampling_term(j * variance, step) for j in range(2, k + 1))
-    return _sum_from_transform(dens, step, k * g.spec.origin + (k - 1) * step / 2.0,
-                               k * g.error_estimate, sampling)
+    return _live_grid(dens, k * g.spec.origin + (k - 1) * step / 2.0, step,
+                      k * g.error_estimate + sampling)
 
 
 def _plain_entropy(values: np.ndarray, step: float) -> float:

@@ -302,13 +302,14 @@ def _discrete_job(args) -> list[InequalityReport]:
     config, check_id = args
     rng = _trial_rng(config.seed, 1000, 0, salt=VALID_CHECK_IDS.index(check_id))
     order = config.discrete_group_order
+    extra = float(config.tolerances.get(check_id, 0.0))
     n_trials = config.trials or config.discrete_trials
     out = []
     for _ in range(n_trials):
         if check_id == "covering_lemma":
-            rep = check_covering_lemma(random_pmf(rng, order), random_pmf(rng, order))
+            rep = check_covering_lemma(random_pmf(rng, order), random_pmf(rng, order), extra)
         elif check_id == "functional_submodularity":
-            rep = _random_submodularity(rng, order)
+            rep = _random_submodularity(rng, order, extra)
         else:
             cid = check_id.removeprefix("discrete.")
             params = {}
@@ -318,12 +319,12 @@ def _discrete_job(args) -> list[InequalityReport]:
                 params = {"n": int(rng.integers(1, 4))}
             k = discrete_arity(cid, params)
             rep = check_discrete_registry(cid, [random_pmf(rng, order) for _ in range(k)],
-                                          params)
+                                          params, extra)
         out.append(rep)
     return out
 
 
-def _random_submodularity(rng, order: int) -> InequalityReport:
+def _random_submodularity(rng, order: int, extra_err: float) -> InequalityReport:
     n_out = max(2, order // 2)
     while True:
         f_map = rng.integers(0, n_out, order)
@@ -334,7 +335,7 @@ def _random_submodularity(rng, order: int) -> InequalityReport:
             break
     joint = DiscreteJoint((order, order), table / total)
     r_map = rng.integers(0, order, (order, order))
-    return check_functional_submodularity(joint, f_map, g_map, r_map)
+    return check_functional_submodularity(joint, f_map, g_map, r_map, extra_err)
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:

@@ -200,6 +200,22 @@ class TestCheckCommand:
         config = config_from_dict({"seed": 1, "numerics": {"tolerances": {"lower_bound": tol}}})
         assert config.tolerances == {"lower_bound": tol}
 
+    def test_tolerance_widens_discrete_err(self):
+        raw = {"seed": 1, "workers": 1, "trials": 2,
+               "checks": ["covering_lemma", "discrete.sum_difference",
+                          "functional_submodularity"]}
+        plain = run_suite(config_from_dict(raw)).reports
+        tolerances = {"covering_lemma": 5, "discrete.sum_difference": 5}
+        wide = run_suite(config_from_dict({**raw, "numerics": {"tolerances": tolerances}})).reports
+        assert [r.check_id for r in wide] == [r.check_id for r in plain]
+        for a, b in zip(plain, wide):
+            assert (b.lhs, b.rhs) == (a.lhs, a.rhs)
+            assert b.err == a.err + tolerances.get(a.check_id, 0)
+        # every sum_difference slack is below 5 nats, so none holds once widened
+        assert {r.verdict for r in plain if r.check_id == "discrete.sum_difference"} == {"holds"}
+        assert {r.verdict for r in wide
+                if r.check_id == "discrete.sum_difference"} == {"inconclusive"}
+
     @pytest.mark.parametrize("order", [2, 64])
     def test_group_order_bounds_accepted(self, order):
         config = config_from_dict({"seed": 1, "discrete": {"group_order": order}})

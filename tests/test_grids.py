@@ -72,9 +72,13 @@ class TestDiscretize:
 
     def test_count_validation(self):
         with pytest.raises(GridError):
-            GridSpec(0.0, 0.1, 100)  # not a power of two
+            GridSpec(0.0, 0.1, 101)  # odd: the cells do not pair up
         with pytest.raises(GridError):
-            GridSpec(0.0, 0.1, 128)  # below the minimum
+            GridSpec(0.0, 0.1, 0)
+        with pytest.raises(GridError):
+            discretize(Gaussian(0, 1), count=100)  # not a power of two
+        with pytest.raises(GridError):
+            discretize(Gaussian(0, 1), count=128)  # below the minimum
 
 
 def Gamma_unbounded():
@@ -181,6 +185,92 @@ class TestConvolve:
             resample(f, f.spec.step / 1e9)
 
 
+def _uncut_origin(m, window_sigmas: float = 12.0) -> float:
+    """Start of the sampling window ``discretize`` places before cutting."""
+    mom = m.moments()
+    lo = min(mom.mean - window_sigmas * math.sqrt(mom.variance), m.window()[0])
+    return max(m.support()[0], lo)
+
+
+class TestLiveCells:
+    """Every grid holds its live cells only: no power-of-two padding."""
+
+    LAWS = [Gaussian(0.3, 2.0), Uniform(0, 1), Exponential(0.7), Laplace(0.5, 1.2),
+            Mixture((0.3, 0.7), (Gaussian(-2, 0.5), Uniform(0, 3)))]
+
+    @staticmethod
+    def _assert_live(g: GridDensity, uncut_origin: float):
+        # an even number of cells cut below, an even count, and a cell above
+        # the trimming floor among the first two and among the last two
+        cut = (g.spec.origin - uncut_origin) / g.spec.step
+        assert cut == pytest.approx(2 * round(cut / 2), abs=1e-6)
+        assert g.spec.count % 2 == 0
+        live = g.values > grids.TRIM_FLOOR * g.values.max()
+        assert live[:2].any() and live[-2:].any()
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda m: m.to_dict()["kind"])
+    def test_leaf_power_and_difference(self, law):
+        g = discretize(law)
+        self._assert_live(g, _uncut_origin(law))
+        step = g.spec.step
+        for k in (2, 3, 5):
+            self._assert_live(convolve_power(g, k), k * g.spec.origin + (k - 1) * step / 2.0)
+        r = reflect(g)
+        self._assert_live(convolve(g, r), g.spec.origin + r.spec.origin + step / 2.0)
+
+    def test_unequal_steps(self):
+        leaves = [discretize(law) for law in self.LAWS]
+        for i, f in enumerate(leaves):
+            for g in leaves[i + 1:]:
+                step = max(f.spec.step, g.spec.step)
+                self._assert_live(convolve(f, g), f.spec.origin + g.spec.origin + step / 2.0)
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda m: m.to_dict()["kind"])
+    @pytest.mark.parametrize("ratio", [1.01, 3.7, 40.0])
+    def test_resample_spans_the_source(self, law, ratio):
+        # ceil(width / step) cells rounded up to even, from the source origin;
+        # the cells past the source's last center are zero and stay
+        f = discretize(law)
+        out = resample(f, f.spec.step * ratio)
+        assert out.spec.origin == f.spec.origin
+        assert out.spec.count % 2 == 0
+        assert f.spec.width <= out.spec.width < f.spec.width + 2 * out.spec.step
+        assert (out.values[:2] > grids.TRIM_FLOOR * out.values.max()).any()
+
+    def test_gaussian_leaf_drops_its_dead_tails(self):
+        count = 1 << 14
+        g = discretize(Gaussian(0, 1), count=count)
+        assert g.spec.count <= 0.70 * count
+        # the whole 12-sigma sample, normalized: its mass outside the leaf
+        step = 24.0 / count
+        x = -12.0 + (np.arange(count) + 0.5) * step
+        full = np.exp(-0.5 * x * x)
+        full /= full.sum() * step
+        outside = (x < g.spec.origin) | (x > g.spec.origin + g.spec.width)
+        dropped = full[outside].sum() * step
+        assert outside.sum() == count - g.spec.count
+        assert dropped > 0.0
+        assert g.error_estimate >= grids._truncation_term(dropped) * (1 - 1e-6)
+
+    def test_dropped_leaf_mass_charged_to_err(self, monkeypatch):
+        class Plateau(Uniform):
+            """U(0, 1) with all but its middle tenth below the trimming floor."""
+
+            def pdf(self, x):
+                x = np.asarray(x, dtype=float)
+                return np.where(np.abs(x - 0.5) < 0.05, 1.0, 0.5e-15)
+
+        charged = []
+        real = grids._truncation_term
+        monkeypatch.setattr(grids, "_truncation_term",
+                            lambda mass: charged.append(mass) or real(mass))
+        g = discretize(Plateau(0.0, 1.0))
+        assert 0.1 <= g.spec.width <= 0.1 + 4 * g.spec.step
+        dropped = 0.9 * 0.5e-15 / 0.1  # the plateau's share of the normalized mass
+        assert any(math.isclose(m, dropped, rel_tol=1e-3) for m in charged)
+        assert g.error_estimate >= real(dropped) * (1 - 1e-3)
+
+
 class TestConvolutionPower:
     """i.i.d. runs in ``sum_grid`` against an explicit ``convolve`` fold."""
 
@@ -278,13 +368,13 @@ class TestTransformCount:
         assert len(lengths) == 2
 
     def test_unequal_operands_use_a_five_smooth_length(self, ctx, lengths):
-        # 21,129 + 16,384 - 1 = 37,512 cells: 38,400 = 2^9 * 3 * 5^2 against 65,536
+        # 21,108 + 16,384 - 1 = 37,491 cells: 37,500 = 2^2 * 3 * 5^5 against 65,536
         f = ctx.sum_grid([(1, Exponential(1.0))] * 2)
         g = ctx.grid(Exponential(1.0))
         lengths.clear()
         convolve(f, g)
-        n = f.occupied + g.occupied - 1
-        assert f.occupied != g.occupied
+        n = f.spec.count + g.spec.count - 1
+        assert f.spec.count != g.spec.count
         assert n <= lengths[0] < 1 << (n - 1).bit_length()
 
 
