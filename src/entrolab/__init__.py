@@ -13,8 +13,6 @@ from .distributions import (
     ModelError,
     MomentSummary,
     Uniform,
-    affine,
-    closed_form_entropy,
     make_model,
     sample,
 )

@@ -45,8 +45,11 @@ class GridContext:
 
     Repeated models in a term list denote independent copies, so the
     entropy of a term list depends only on the multiset of (model, sign)
-    pairs.  Keys and evaluation order are content-based, which makes every
-    result independent of call order, cache state and process layout.
+    pairs.  A point-symmetric law (``DensityModel.symmetric``) has its sign
+    dropped: -X is a translate of X, so the sum changes by a translate and
+    its entropy not at all, and h(X - Y) and h(X + Y) share one entry.  Keys
+    and evaluation order are content-based, which makes every result
+    independent of call order, cache state and process layout.
     """
 
     def __init__(self, count: int = 1 << 14, window_sigmas: float = 12.0):
@@ -74,7 +77,12 @@ class GridContext:
         return out
 
     def entropy(self, *terms: tuple[int, DensityModel]) -> tuple[float, float]:
-        """(value, err) of the signed independent sum of the given terms."""
+        """(value, err) of the signed independent sum of the given terms.
+
+        The sum evaluated is the given one with every symmetric law's sign
+        set to +1; its entropy is the same.
+        """
+        terms = tuple((1 if m.symmetric else sign, m) for sign, m in terms)
         key = tuple(sorted(_term_key(t) for t in terms))
         if key not in self._entropies:
             self._entropies[key] = grids.entropy(self.sum_grid(terms))

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -39,9 +39,6 @@ __all__ = [
     "Mixture",
     "Gridded",
     "make_model",
-    "model_to_dict",
-    "closed_form_entropy",
-    "affine",
     "sample",
 ]
 
@@ -70,6 +67,10 @@ class MomentSummary:
 class DensityModel:
     """Base class for catalog entries.  Instances are immutable values."""
 
+    # True when the law of -X is a translate of the law of X.  A wrong False
+    # only costs a cache hit in GridContext; a wrong True gives wrong entropies.
+    symmetric: ClassVar[bool] = False
+
     def moments(self) -> MomentSummary:
         raise NotImplementedError
 
@@ -94,6 +95,7 @@ class DensityModel:
         return True
 
     def affine(self, a: float, b: float) -> "DensityModel":
+        """Law of ``a*X + b``; entropy shifts by log|a|."""
         raise NotImplementedError
 
     def sample_rng(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -116,6 +118,8 @@ class DensityModel:
 class Gaussian(DensityModel):
     mean: float
     variance: float
+
+    symmetric = True
 
     def __post_init__(self):
         if not (self.variance > 0.0) or not math.isfinite(self.variance):
@@ -157,6 +161,8 @@ class Gaussian(DensityModel):
 class Uniform(DensityModel):
     lower: float
     upper: float
+
+    symmetric = True
 
     def __post_init__(self):
         if not (self.upper > self.lower):
@@ -269,6 +275,8 @@ class Exponential(DensityModel):
 class Laplace(DensityModel):
     location: float
     scale: float
+
+    symmetric = True
 
     def __post_init__(self):
         if not (self.scale > 0.0) or not math.isfinite(self.scale):
@@ -556,20 +564,6 @@ def make_model(spec: dict) -> DensityModel:
         except KeyError as e:
             raise ModelError(f"missing parameter {e} for kind '{kind}'") from e
     raise ModelError(f"unknown model kind '{kind}'")
-
-
-def model_to_dict(m: DensityModel) -> dict:
-    return m.to_dict()
-
-
-def closed_form_entropy(m: DensityModel) -> float | None:
-    """Exact differential entropy in nats, or None for mixture/gridded kinds."""
-    return m.closed_form_entropy()
-
-
-def affine(m: DensityModel, a: float, b: float) -> DensityModel:
-    """Law of ``a*X + b``; entropy shifts by log|a|."""
-    return m.affine(a, b)
 
 
 def sample(m: DensityModel, n: int, seed: int) -> np.ndarray:

@@ -70,7 +70,11 @@ class GridSpec:
         return self.count * self.step
 
     def centers(self) -> np.ndarray:
-        return self.origin + (np.arange(self.count) + 0.5) * self.step
+        x = np.arange(self.count, dtype=float)
+        x += 0.5
+        x *= self.step
+        x += self.origin
+        return x
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,10 @@ class GridDensity:
         x = self.spec.centers()
         step = self.spec.step
         mean = float(np.sum(x * self.values) * step)
-        var = float(np.sum((x - mean) ** 2 * self.values) * step)
-        return MomentSummary(mean, var)
+        x -= mean
+        x **= 2
+        x *= self.values
+        return MomentSummary(mean, float(np.sum(x) * step))
 
 
 def _normalized(values: np.ndarray, step: float,
@@ -173,9 +179,12 @@ def resample(f: GridDensity, step: float) -> GridDensity:
         )
     new_spec = GridSpec(origin=spec.origin, step=step, count=count)
     # new centers in units of the old step, counted from the first old center
-    t = (np.arange(count) + 0.5) * (step / spec.step) - 0.5
-    raw = np.clip(_pchip(f.values, t), 0.0, None)
-    values, defect = _normalized(raw, step)
+    t = np.arange(count, dtype=float)
+    t += 0.5
+    t *= step / spec.step
+    t -= 0.5
+    raw = _pchip(f.values, t)
+    values, defect = _normalized(np.clip(raw, 0.0, None, out=raw), step, out=raw)
     return GridDensity(spec=new_spec, values=values, mass_defect=defect,
                        error_estimate=f.error_estimate + _truncation_term(defect))
 
@@ -183,6 +192,7 @@ def resample(f: GridDensity, step: float) -> GridDensity:
 def _pchip(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Monotone cubic (PCHIP) through y at nodes 0, 1, ..., n-1, evaluated at t.
 
+    ``t`` must ascend: the points inside [0, n-1] are read as one slice.
     Node slopes are the Fritsch-Butland harmonic mean of the adjacent
     secants, zero where they change sign or one is flat; each end takes the
     one-sided three-point rule with Fritsch-Carlson shape limits.  These
@@ -191,19 +201,33 @@ def _pchip(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     m = np.diff(y)
     prod = m[:-1] * m[1:]
+    same_sign = prod > 0.0
+    prod *= 2.0
     d = np.zeros_like(y)
     # harmonic mean 2*m0*m1/(m0+m1) where both secants share a sign
-    np.divide(2.0 * prod, m[:-1] + m[1:], out=d[1:-1], where=prod > 0.0)
+    np.divide(prod, m[:-1] + m[1:], out=d[1:-1], where=same_sign)
     d[0], d[-1] = _end_slope(m[0], m[1]), _end_slope(m[-1], m[-2])
 
     n = y.size
-    inside = (t >= 0.0) & (t <= n - 1)
-    k = np.minimum(t[inside].astype(np.intp), n - 2)
-    s = t[inside] - k
+    lo, hi = np.searchsorted(t, 0.0), np.searchsorted(t, n - 1, side="right")
+    k = np.minimum(t[lo:hi].astype(np.intp), n - 2)
+    s = t[lo:hi] - k
     y0, a, b = y[k], d[k], d[k + 1]
-    rise = y[k + 1] - y0
+    rise = y[k + 1]
+    rise -= y0
+    # y0 + s*(a + s*(3*rise - 2*a - b + s*(a + b - 2*rise))), innermost first
+    cubic = a + b
+    cubic -= 2.0 * rise
+    cubic *= s
+    poly = 3.0 * rise
+    poly -= 2.0 * a
+    poly -= b
+    poly += cubic
+    poly *= s
+    poly += a
+    poly *= s
     out = np.zeros(t.size)
-    out[inside] = y0 + s * (a + s * (3.0 * rise - 2.0 * a - b + s * (a + b - 2.0 * rise)))
+    np.add(y0, poly, out=out[lo:hi])
     return out
 
 
@@ -278,21 +302,25 @@ def convolve(f: GridDensity, g: GridDensity) -> GridDensity:
     before the transform so the operation commutes exactly, not just
     within rounding.
     """
+    # variances add under convolution; resampling keeps the law, so the
+    # operands' own grids give it
+    variance = f.moments.variance + g.moments.variance
     if not math.isclose(f.spec.step, g.spec.step, rel_tol=1e-9):
         target = max(f.spec.step, g.spec.step)
         if f.spec.step < target:
             f = resample(f, target)
         if g.spec.step < target:
             g = resample(g, target)
-    if (g.spec.count, g.spec.origin, g.values.tobytes()) < (
-            f.spec.count, f.spec.origin, f.values.tobytes()):
+    kf, kg = (f.spec.count, f.spec.origin), (g.spec.count, g.spec.origin)
+    if kg < kf or (kg == kf and g.values.tobytes() < f.values.tobytes()):
         f, g = g, f
     step = f.spec.step
     n = f.spec.count + g.spec.count - 1
     m = _fft_length(n)
-    dens = np.fft.irfft(np.fft.rfft(f.values, m) * np.fft.rfft(g.values, m), m)[:n] * step
-    # variances add under convolution
-    variance = f.moments.variance + g.moments.variance
+    spec = np.fft.rfft(f.values, m)
+    spec *= np.fft.rfft(g.values, m)
+    dens = np.fft.irfft(spec, m)[:n]
+    dens *= step
     return _live_grid(dens, f.spec.origin + g.spec.origin + step / 2.0, step,
                       f.error_estimate + g.error_estimate + _sampling_term(variance, step))
 
@@ -315,7 +343,11 @@ def convolve_power(g: GridDensity, k: int) -> GridDensity:
     step = g.spec.step
     n = k * (g.spec.count - 1) + 1
     m = _fft_length(n)
-    dens = np.fft.irfft(np.fft.rfft(g.values * step, m) ** k, m)[:n] / step
+    spec = np.fft.rfft(g.values * step, m)
+    # not np.power(spec, k, out=spec): for k = 2 it differs from spec ** 2 in the last bit
+    spec **= k
+    dens = np.fft.irfft(spec, m)[:n]
+    dens /= step
     variance = g.moments.variance
     sampling = sum(_sampling_term(j * variance, step) for j in range(2, k + 1))
     return _live_grid(dens, k * g.spec.origin + (k - 1) * step / 2.0, step,
@@ -336,7 +368,8 @@ def entropy(f: GridDensity) -> tuple[float, float]:
     resolution; the stored truncation estimate is added on top.
     """
     h = _plain_entropy(f.values, f.spec.step)
-    half = 0.5 * (f.values[0::2] + f.values[1::2])
+    half = np.add(f.values[0::2], f.values[1::2])
+    half *= 0.5
     h_half = _plain_entropy(half, 2.0 * f.spec.step)
     err = max(abs(h - h_half), 1e-12) + f.error_estimate
     return h, err

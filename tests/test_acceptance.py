@@ -240,7 +240,8 @@ def test_criterion_9_estimator_agreement(ctx):
 
 def test_criterion_10_reproducible_reports():
     raw = {"seed": 99, "corpus_size": 15,
-           "checks": ["lower_bound", "sigma_delta", "discrete.sum_difference"],
+           "checks": ["lower_bound", "sigma_delta", "sum_difference", "ruzsa_triangle",
+                      "discrete.sum_difference"],
            "workers": 1}
     a = serialize_report(run_suite(config_from_dict(raw)))
     b = serialize_report(run_suite(config_from_dict(raw)))

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from entrolab import grids
 from entrolab.checks import (
     CHECKS,
+    GridContext,
     default_corpus,
     doubling_and_difference,
     inverse_theorem_check,
@@ -64,15 +66,65 @@ class TestDoublingDifference:
         assert f.delta == pytest.approx(2.0, abs=1e-3)
 
     def test_symmetric_law_ratio_one(self, ctx):
-        f = doubling_and_difference(ctx, Laplace(0.0, 1.0))
-        assert f.delta_plus == pytest.approx(f.delta_minus,
-                                             abs=f.err_plus + f.err_minus)
+        # ctx.entropy shares one value between X + X' and X - X' for a
+        # symmetric law, so the literal difference is built through sum_grid
+        x = Laplace(0.0, 1.0)
+        h_sum, e_sum = grids.entropy(ctx.sum_grid([(1, x), (1, x)]))
+        h_diff, e_diff = grids.entropy(ctx.sum_grid([(1, x), (-1, x)]))
+        assert h_diff == pytest.approx(h_sum, abs=e_sum + e_diff)
 
     def test_constants_at_least_one(self, ctx):
         for m in (Gaussian(1, 2), Uniform(-1, 3), Exponential(0.5)):
             f = doubling_and_difference(ctx, m)
             assert f.sigma >= 1.0 - 1e-6 and f.delta >= 1.0 - 1e-6
             assert f.dist_r >= -f.err_minus
+
+
+class TestSignFreeKeys:
+    """GridContext.entropy evaluates a symmetric law's term with sign +1."""
+
+    @pytest.mark.parametrize("y", [Gaussian(0.5, 2.0), Uniform(-1.0, 2.0), Laplace(1.0, 0.7)])
+    def test_difference_shares_the_sum(self, monkeypatch, y):
+        calls = _count_convolutions(monkeypatch)
+        ctx = GridContext()
+        x = Exponential(1.3, shift=0.2)
+        h_diff = ctx.entropy((1, x), (-1, y))
+        assert ctx.entropy((1, x), (1, y)) == h_diff
+        assert calls == [1]
+
+    @pytest.mark.parametrize("y", [
+        Exponential(1.3, shift=0.2),
+        Mixture((0.3, 0.7), (Gaussian(-1.0, 1.0), Gaussian(2.0, 0.5))),
+    ], ids=["exponential", "mixture"])
+    def test_asymmetric_law_gets_two_sums(self, monkeypatch, y):
+        calls = _count_convolutions(monkeypatch)
+        ctx = GridContext()
+        x = Gaussian(0.5, 2.0)
+        h_sum, e_sum = ctx.entropy((1, x), (1, y))
+        h_diff, e_diff = ctx.entropy((1, x), (-1, y))
+        assert calls == [2]
+        # X is symmetric, so X - Y is a translate of the mirror image of X + Y
+        assert abs(h_sum - h_diff) <= e_sum + e_diff
+
+    def test_symmetric_self_difference_is_one_power(self, monkeypatch):
+        calls = _count_convolutions(monkeypatch)
+        ctx = GridContext()
+        x = Uniform(0.0, 1.0)
+        assert ctx.entropy((1, x), (-1, x)) == ctx.entropy((1, x), (1, x))
+        assert calls == [0]
+
+
+def _count_convolutions(monkeypatch) -> list[int]:
+    """Patch grids.convolve to count its calls into the returned one-item list."""
+    calls = [0]
+    convolve = grids.convolve
+
+    def counted(f, g):
+        calls[0] += 1
+        return convolve(f, g)
+
+    monkeypatch.setattr(grids, "convolve", counted)
+    return calls
 
 
 class TestRegistryGoldenCases:

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import entrolab
@@ -12,15 +14,15 @@ from entrolab.distributions import (
     Exponential,
     Gamma,
     Gaussian,
+    Gridded,
     Laplace,
     Mixture,
     ModelError,
     Uniform,
-    affine,
-    closed_form_entropy,
     make_model,
     sample,
 )
+from entrolab.grids import discretize
 from entrolab.poincare import poincare_constant, spectral_poincare
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -52,7 +54,7 @@ CLOSED_FORM_CASES = [
 
 @pytest.mark.parametrize("model,expected", CLOSED_FORM_CASES)
 def test_closed_form_entropy_values(model, expected):
-    assert closed_form_entropy(model) == pytest.approx(expected, abs=1e-12)
+    assert model.closed_form_entropy() == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("model,expected", CLOSED_FORM_CASES)
@@ -62,7 +64,7 @@ def test_closed_form_matches_quadrature_oracle(model, expected):
 
 def test_mixture_and_gridded_have_no_closed_form():
     mix = Mixture((0.3, 0.7), (Gaussian(-2, 1), Gaussian(2, 1)))
-    assert closed_form_entropy(mix) is None
+    assert mix.closed_form_entropy() is None
 
 
 def test_make_model_round_trip():
@@ -118,37 +120,82 @@ def test_mixture_mean_against_monte_carlo():
 
 class TestAffine:
     def test_gaussian_closure(self):
-        out = affine(Gaussian(0, 1), 2.0, 3.0)
+        out = Gaussian(0, 1).affine(2.0, 3.0)
         assert isinstance(out, Gaussian)
         assert (out.mean, out.variance) == (3.0, 4.0)
 
     def test_uniform_reflection(self):
-        out = affine(Uniform(0, 1), -1.0, 0.0)
+        out = Uniform(0, 1).affine(-1.0, 0.0)
         assert (out.lower, out.upper) == (-1.0, 0.0)
 
     def test_entropy_scaling_law(self):
-        h0 = closed_form_entropy(Gaussian(0, 1))
-        h1 = closed_form_entropy(affine(Gaussian(0, 1), 2.0, 0.0))
+        h0 = Gaussian(0, 1).closed_form_entropy()
+        h1 = Gaussian(0, 1).affine(2.0, 0.0).closed_form_entropy()
         assert h1 - h0 == pytest.approx(math.log(2), abs=1e-12)
 
     def test_exponential_negation_flags_reflection(self):
-        out = affine(Exponential(1.0), -1.0, 0.0)
+        out = Exponential(1.0).affine(-1.0, 0.0)
         assert isinstance(out, Exponential) and out.reflected
         assert out.moments().mean == pytest.approx(-1.0)
-        assert closed_form_entropy(out) == pytest.approx(1.0)
+        assert out.closed_form_entropy() == pytest.approx(1.0)
 
     def test_composition(self):
         m = Laplace(0.3, 1.2)
-        two_step = affine(affine(m, 2.0, 1.0), -3.0, 0.5)
-        one_step = affine(m, -6.0, -2.5)
+        two_step = m.affine(2.0, 1.0).affine(-3.0, 0.5)
+        one_step = m.affine(-6.0, -2.5)
         assert two_step.moments().mean == pytest.approx(one_step.moments().mean, abs=1e-10)
         assert two_step.moments().variance == pytest.approx(one_step.moments().variance, abs=1e-10)
-        assert closed_form_entropy(two_step) == pytest.approx(
-            closed_form_entropy(one_step), abs=1e-10)
+        assert two_step.closed_form_entropy() == pytest.approx(
+            one_step.closed_form_entropy(), abs=1e-10)
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ModelError):
-            affine(Gaussian(0, 1), 0.0, 1.0)
+            Gaussian(0, 1).affine(0.0, 1.0)
+
+
+def _dyadic(lo: float, hi: float):
+    """Multiples of 2^-10 in [lo, hi]."""
+    return st.integers(int(lo * 1024), int(hi * 1024)).map(lambda i: i / 1024)
+
+
+# dyadic centers and offsets make c + x, c - x and their distances to c
+# exact, so the check sees the shape of the law, not the rounding of points
+SYMMETRIC_LAWS = {
+    "gaussian": st.builds(Gaussian, _dyadic(-3, 3), st.floats(0.25, 9.0)),
+    "uniform": st.builds(lambda lo, w: Uniform(lo, lo + w), _dyadic(-3, 3), _dyadic(0.5, 6)),
+    "laplace": st.builds(Laplace, _dyadic(-3, 3), st.floats(0.3, 3.0)),
+}
+
+
+class TestSymmetricFlag:
+    """DensityModel.symmetric: the law of -X is a translate of the law of X."""
+
+    def test_flagged_kinds(self):
+        kinds = (Gaussian, Uniform, Exponential, Laplace, Gamma, Mixture, Gridded)
+        assert {k for k in kinds if k.symmetric} == {Gaussian, Uniform, Laplace}
+
+    @pytest.mark.parametrize("kind", sorted(SYMMETRIC_LAWS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_flagged_density_is_even_about_the_mean(self, kind, data):
+        m = data.draw(SYMMETRIC_LAWS[kind])
+        x = np.array(data.draw(st.lists(_dyadic(0, 12), min_size=1, max_size=8)))
+        c = m.moments().mean
+        assert m.symmetric
+        np.testing.assert_allclose(m.pdf(c + x), m.pdf(c - x), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("m", [
+        Exponential(1.5),
+        Exponential(1.5, shift=0.3, reflected=True),
+        Gamma(2.0, 1.0),
+        Mixture((0.3, 0.7), (Gaussian(-1.0, 1.0), Gaussian(2.0, 1.0))),
+        Gridded(discretize(Gamma(3.0, 0.5))),
+    ], ids=["exponential", "reflected-exponential", "gamma", "mixture", "gridded"])
+    def test_unflagged_instance_is_not_even(self, m):
+        assert not m.symmetric
+        mom = m.moments()
+        x = np.array([0.5, 1.0]) * math.sqrt(mom.variance)
+        assert not np.allclose(m.pdf(mom.mean + x), m.pdf(mom.mean - x), rtol=1e-3)
 
 
 class TestSampling:

@@ -579,6 +579,17 @@ class TestErrorAudit:
         self._audit(ctx, [(1, Exponential(r1)), (1, Exponential(r2))],
                     _hypoexponential_entropy(r1, r2))
 
+    # GridContext.entropy drops the sign of a symmetric law, so literal
+    # differences reach the reflected path only through sum_grid
+    def test_gaussian_difference(self, ctx):
+        self._audit_literal(ctx, [(1, Gaussian(0, 1)), (-1, Gaussian(0, 9))],
+                            0.5 * math.log(2 * math.pi * math.e * 10.0))
+
+    def test_uniform_difference_unequal_widths(self, ctx):
+        a, b = 0.3, 5.0
+        self._audit_literal(ctx, [(1, Uniform(0, a)), (-1, Uniform(0, b))],
+                            math.log(b) + a / (2 * b))
+
     def test_deep_sum_stable_under_refinement(self):
         # eight uniforms of two widths: every convolution after the first
         # coarsens a smooth partial sum, not a jumpy leaf
@@ -592,6 +603,30 @@ class TestErrorAudit:
     def _audit(ctx, terms, exact):
         h, err = ctx.entropy(*terms)
         assert abs(h - exact) <= err, f"|h - exact| / err = {abs(h - exact) / err:.3f}"
+
+    @staticmethod
+    def _audit_literal(ctx, terms, exact):
+        h, err = entropy(ctx.sum_grid(terms))
+        assert abs(h - exact) <= err, f"|h - exact| / err = {abs(h - exact) / err:.3f}"
+
+
+class TestMirrorImage:
+    """err of a sum against err of its mirror image, which has the same entropy."""
+
+    # resample zeroes the coarse cells whose centers lie past the source's
+    # last center, so a resampled operand that jumps at its right end loses
+    # up to a coarse cell of mass, charged to err (ROADMAP, Direction 3)
+    @pytest.mark.xfail(strict=True, reason="resample's right edge drops mass; "
+                                           "ROADMAP Direction 3")
+    @pytest.mark.parametrize("terms", [
+        [(1, Gaussian(0, 4)), (1, Exponential(2.0))],
+        [(1, Exponential(0.5)), (1, Exponential(3.0))],
+    ], ids=["gaussian+exponential", "exponential+exponential"])
+    def test_mirror_errs_agree(self, ctx, terms):
+        h, err = entropy(ctx.sum_grid(terms))
+        h_mirror, err_mirror = entropy(ctx.sum_grid([(-s, m) for s, m in terms]))
+        assert abs(h - h_mirror) <= err + err_mirror
+        assert max(err, err_mirror) <= 10.0 * min(err, err_mirror)
 
 
 def _hypoexponential_entropy(r1: float, r2: float) -> float:
