@@ -479,7 +479,7 @@ def inverse_theorem_check(
     g = ctx.grid(m)
     phi = grids.gaussian_fit(g)
     div, div_err = grids.kl_divergence(g, phi)
-    var = grids.grid_moments(g).variance
+    var = g.moments.variance
     echo = (m.to_dict(),)
     half_ln2 = 0.5 * LN2
 
@@ -494,11 +494,10 @@ def inverse_theorem_check(
                     err=f.err_minus + div_err, inputs=echo),
     ]
 
-    fitted = ctx.grid(m)
-    l1 = grids.l1_distance(fitted, phi)
+    l1 = grids.l1_distance(g, phi)
     reports.append(
         make_report("inverse_pinsker", lhs=0.5 * l1 * l1, rhs=div,
-                    err=div_err + l1 * fitted.error_estimate, inputs=echo)
+                    err=div_err + l1 * g.error_estimate, inputs=echo)
     )
 
     r = poincare_constant(m)

@@ -28,7 +28,6 @@ __all__ = [
     "entropy",
     "kl_divergence",
     "gaussian_fit",
-    "grid_moments",
     "l1_distance",
     "resample",
 ]
@@ -375,14 +374,9 @@ def entropy(f: GridDensity) -> tuple[float, float]:
     return h, err
 
 
-def grid_moments(f: GridDensity) -> MomentSummary:
-    """Mean and variance of the grid (midpoint rule)."""
-    return f.moments
-
-
 def gaussian_fit(f: GridDensity) -> Gaussian:
     """Gaussian with the grid's mean and variance."""
-    m = grid_moments(f)
+    m = f.moments
     return Gaussian(m.mean, m.variance)
 
 

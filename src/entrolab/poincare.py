@@ -1,9 +1,10 @@
 """Poincare constants: closed-form table plus a spectral oracle.
 
 The oracle discretizes the Rayleigh quotient E[g^2]/E[g'^2] over zero-mean
-grid functions and reads off the largest generalized eigenvalue, which is
-the reciprocal of the spectral gap of the weighted Neumann problem
-``-(f g')' = lam f g``.  Refinement doubles both the grid resolution and,
+grid functions and reads off its largest value, which is the reciprocal of
+the spectral gap of the weighted Neumann problem ``-(f g')' = lam f g``, as
+the top eigenvalue of the inverted stiffness matrix (Lanczos, J. Res. Nat.
+Bur. Standards 1950).  Refinement doubles both the grid resolution and,
 for unbounded supports, the window, until successive estimates agree.
 """
 
@@ -13,7 +14,8 @@ import math
 
 import numpy as np
 
-from .distributions import DensityModel, Exponential, Gaussian, ModelError, Uniform
+from .distributions import (DensityModel, Exponential, Gaussian, Laplace, ModelError,
+                            Uniform)
 
 __all__ = ["poincare_constant", "spectral_poincare"]
 
@@ -22,14 +24,19 @@ __all__ = ["poincare_constant", "spectral_poincare"]
 # densities, so the guard only needs to keep square roots of cell masses
 # representable
 _TRIM = 1e-140
+# Lanczos steps on one grid before the oracle gives up and returns None
+_LANCZOS_STEPS = 200
+# successive top Ritz values closer than this (relative) end the iteration
+_RITZ_TOL = 1e-10
 
 
 def poincare_constant(m: DensityModel, rel_tol: float = 0.005) -> float | None:
     """Poincare constant R(X), from the closed-form table when available.
 
-    Gaussian, uniform and exponential laws use exact values; every other
-    kind goes through the spectral oracle.  Returns None when the oracle
-    fails to converge.
+    Gaussian, uniform, exponential and Laplace laws use exact values (the
+    Laplace constant 4 b^2 is Bobkov-Ledoux, PTRF 1997); every other kind
+    goes through the spectral oracle.  Returns None when the oracle fails
+    to converge.
     """
     var = m.moments().variance
     if not math.isfinite(var):
@@ -40,6 +47,8 @@ def poincare_constant(m: DensityModel, rel_tol: float = 0.005) -> float | None:
         return m.width ** 2 / math.pi ** 2
     if isinstance(m, Exponential):
         return 4.0 / m.rate ** 2
+    if isinstance(m, Laplace):
+        return 4.0 * m.scale ** 2
     return spectral_poincare(m, rel_tol=rel_tol)
 
 
@@ -85,6 +94,18 @@ def _converged_gap_estimate(m, lo, hi, rel_tol, start_count, max_count):
 
 
 def _rayleigh_max(m, lo, hi, count):
+    problem = _weighted_laplacian(m, lo, hi, count)
+    if problem is None:
+        return None
+    return _lanczos_top(*problem)
+
+
+def _weighted_laplacian(m, lo, hi, count):
+    """Lumped mass and edge weights of the Neumann problem K g = lam M g.
+
+    K is tridiagonal with off-diagonal -k_off and rows summing to zero; M is
+    diag(mass).  Returns None when the window holds too little density.
+    """
     step = (hi - lo) / count
     x = lo + (np.arange(count) + 0.5) * step
     w = m.pdf(x)
@@ -98,26 +119,65 @@ def _rayleigh_max(m, lo, hi, count):
     x, w = x[i0:i1], np.clip(w[i0:i1], wmax * _TRIM, None)
     fmid = m.pdf(0.5 * (x[:-1] + x[1:]))
     fmid = np.clip(fmid, wmax * _TRIM, None)
+    return w * step, fmid / step
 
-    # generalized problem K g = lam M g with tridiagonal stiffness K and
-    # lumped mass M; converted to standard symmetric tridiagonal form
-    mass = w * step
-    k_off = fmid / step
-    k_diag = np.zeros(len(x))
-    k_diag[:-1] += k_off
-    k_diag[1:] += k_off
-    d = k_diag / mass
-    e = -k_off / (np.sqrt(mass[:-1]) * np.sqrt(mass[1:]))
-    # numpy has no tridiagonal eigensolver; scipy loads on the first spectral
-    # estimate, which only laws without a closed-form constant reach
-    from scipy.linalg import eigh_tridiagonal
 
-    try:
-        vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 1),
-                                eigvals_only=True)
-    except np.linalg.LinAlgError:
-        return None
-    gap = float(vals[1])
-    if not math.isfinite(gap) or gap <= 0.0:
-        return None
-    return 1.0 / gap
+def _lanczos_top(mass, k_off):
+    """Largest eigenvalue of B = S K+ S, S = diag(sqrt(mass)), which is R = 1/gap.
+
+    B is the pseudo-inverse of the standard form S^-1 K S^-1, whose null
+    vector z = sqrt(mass)/|sqrt(mass)| is projected out of every vector.
+    K g = r with sum(r) = 0 is solved exactly by two cumulative sums: the
+    flux through each edge is a partial sum of r, and g accumulates
+    flux/k_off.  Both run outward from the heaviest cell p, so each flux is
+    the sum over the tail it bounds (small where k_off is small) and g
+    stays moderate where the mass is.  A small gap puts R far above the
+    rest of B's spectrum, where Lanczos finds it in a few steps.
+    """
+    n = len(mass)
+    s = np.sqrt(mass)
+    z = s / np.linalg.norm(s)
+    p = int(np.argmax(mass))
+
+    def apply(y):
+        r = s * (y - z * (z @ y))
+        flux = np.empty(n - 1)
+        flux[:p] = -np.cumsum(r[:p])
+        flux[p:] = np.cumsum(r[:p:-1])[::-1]
+        inc = flux / k_off
+        g = np.zeros(n)
+        g[:p] = -np.cumsum(inc[:p][::-1])[::-1]
+        g[p + 1:] = np.cumsum(inc[p:])
+        u = s * g
+        return u - z * (z @ u)
+
+    # fixed start S (i - mean): the top eigenfunction is monotone, so this
+    # overlaps it for every law, and reports need no random draw
+    v = s * np.arange(n, dtype=float)
+    v -= z * (z @ v)
+    v /= np.linalg.norm(v)
+    steps = min(_LANCZOS_STEPS, n - 1)
+    # rows are written one per step; untouched rows cost no resident memory
+    basis = np.empty((steps, n))
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    previous = None
+    for k in range(steps):
+        basis[k] = v
+        w = apply(v)
+        q = basis[:k + 1]
+        for _ in range(2):
+            h = q @ w
+            w -= h @ q
+            alpha[k] += h[k]
+        beta[k] = float(np.linalg.norm(w))
+        t = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+        theta = float(np.linalg.eigvalsh(t)[-1])
+        if not math.isfinite(theta) or theta <= 0.0:
+            return None
+        done = previous is not None and abs(theta - previous) <= _RITZ_TOL * theta
+        # an invariant subspace (or the whole space) makes theta exact
+        if done or beta[k] <= np.finfo(float).eps * theta or k == n - 2:
+            return theta
+        previous = theta
+        v = w / beta[k]
+    return None

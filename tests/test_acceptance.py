@@ -78,11 +78,8 @@ def test_criterion_2_doubling_difference_constants(ctx):
                 f"exponential (e^gamma, 2) -> {checks}")
 
 
-def test_criterion_3_randomized_corpus_no_violations():
-    config = config_from_dict({"seed": 20240501, "corpus_size": 100, "workers": 1})
-    t0 = time.perf_counter()
-    suite = run_suite(config)
-    elapsed = time.perf_counter() - t0
+def test_criterion_3_randomized_corpus_no_violations(default_suite):
+    suite, elapsed = default_suite
     violated = suite.violated()
     families = {r.check_id for r in suite.reports}
     ok = violated == 0 and len(families) >= 13 and elapsed < 300

@@ -18,7 +18,6 @@ from entrolab.checks import (
 from entrolab.distributions import Exponential, Gaussian, Laplace, Uniform
 from entrolab.estimators import estimate_functional
 from entrolab.distributions import Mixture
-from entrolab.suite import config_from_dict, run_suite
 
 LN2 = math.log(2.0)
 EULER_GAMMA = float(np.euler_gamma)
@@ -201,9 +200,9 @@ class TestRandomizedCorpus:
         b = [m.to_dict() for m in default_corpus(seed=5, size=10)]
         assert a == b
 
-    def test_default_suite_verdict_counts(self):
+    def test_default_suite_verdict_counts(self, default_suite):
         # faster grids must not change what the default suite concludes
-        suite = run_suite(config_from_dict({"seed": 20240501, "workers": 1}))
+        suite, _ = default_suite
         assert suite.summary() == {"holds": 646, "violated": 0, "inconclusive": 40,
                                    "skipped": 0}
 

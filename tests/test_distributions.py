@@ -22,6 +22,8 @@ from entrolab.distributions import (
     make_model,
     sample,
 )
+from entrolab import poincare
+from entrolab.checks import default_corpus, inverse_theorem_check
 from entrolab.grids import discretize
 from entrolab.poincare import poincare_constant, spectral_poincare
 
@@ -246,21 +248,85 @@ class TestPoincare:
         assert est is not None
         assert abs(est - expected) / expected < 0.01
 
-    def test_laplace_constant_loads_the_eigensolver_on_first_use(self):
+    @pytest.mark.parametrize("mu,b", [(0.0, 1.0), (1.0, 0.5), (-3.0, 7.25), (2.0, 1e-3)])
+    def test_laplace_table_exact(self, mu, b):
+        # Bobkov-Ledoux: R = 4 b^2
+        assert poincare_constant(Laplace(mu, b)) == 4 * b ** 2
+
+    def test_inverse_bundle_loads_no_scipy(self):
         # a fresh interpreter: this test process has scipy loaded already
-        code = ("import sys; from entrolab import Laplace, poincare_constant; "
-                "assert not [m for m in sys.modules if m.startswith('scipy')]; "
-                "r = poincare_constant(Laplace(1.0, 0.5)); "
-                "print(r, 'scipy.linalg' in sys.modules)")
+        code = ("import sys; from entrolab import Gaussian, Laplace, Mixture; "
+                "from entrolab.checks import inverse_theorem_check; "
+                "mix = Mixture((0.3, 0.7), (Gaussian(-1.0, 0.5), Laplace(2.0, 1.0))); "
+                "reports = inverse_theorem_check(Laplace(1.0, 0.5)) "
+                "+ inverse_theorem_check(mix); "
+                "print(sum(r.verdict == 'skipped' for r in reports), "
+                "sorted(m for m in sys.modules if m.startswith('scipy')))")
         src = os.path.dirname(os.path.dirname(entrolab.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
-        value, loaded = out.stdout.split()
-        assert abs(float(value) - 1.0) < 0.01  # R = 4 b^2 for Laplace(., b)
-        assert loaded == "True"
+        assert out.stdout.strip() == "0 []"
 
     def test_mixture_constant_is_finite_and_large(self):
         # well-separated modes force a small spectral gap
         m = Mixture((0.5, 0.5), (Gaussian(-3, 0.5), Gaussian(3, 0.5)))
         r = poincare_constant(m)
         assert r is not None and r > m.moments().variance
+
+
+def _tridiagonal_rayleigh_max(m, lo, hi, count):
+    """Reference for ``poincare._rayleigh_max``: scipy's tridiagonal eigensolver
+    on the symmetric standard form of the same discretization."""
+    from scipy.linalg import eigh_tridiagonal
+
+    mass, k_off = poincare._weighted_laplacian(m, lo, hi, count)
+    k_diag = np.zeros(len(mass))
+    k_diag[:-1] += k_off
+    k_diag[1:] += k_off
+    off = -k_off / (np.sqrt(mass[:-1]) * np.sqrt(mass[1:]))
+    vals = eigh_tridiagonal(k_diag / mass, off, select="i", select_range=(0, 1),
+                            eigvals_only=True)
+    return 1.0 / float(vals[1])
+
+
+def _corpus_mixtures(count):
+    return [m for m in default_corpus(20240501, 100) if isinstance(m, Mixture)][:count]
+
+
+class TestLanczosOracle:
+    """The Lanczos solve on the inverted stiffness matrix against scipy."""
+
+    @pytest.mark.parametrize("model", [
+        Laplace(0.0, 1.0),
+        *_corpus_mixtures(2),
+        Gamma(2.0, 1.0),
+        Mixture((0.2, 0.8), (Gaussian(0.0, 1.0), Laplace(3.0, 0.5))),
+    ])
+    def test_matches_tridiagonal_eigensolver_on_every_visited_grid(self, model,
+                                                                   monkeypatch):
+        visited = []
+        lanczos = poincare._rayleigh_max
+
+        def record(m, lo, hi, count):
+            est = lanczos(m, lo, hi, count)
+            visited.append((lo, hi, count, est))
+            return est
+
+        monkeypatch.setattr(poincare, "_rayleigh_max", record)
+        assert spectral_poincare(model) is not None
+        assert len(visited) >= 2
+        for lo, hi, count, est in visited:
+            ref = _tridiagonal_rayleigh_max(model, lo, hi, count)
+            assert est == pytest.approx(ref, rel=1e-8), (lo, hi, count)
+
+    def test_separated_modes_resolve_at_any_resolution(self):
+        # lam_1 lies below eps * |K|, where a direct eigensolve of the standard
+        # form loses it; the inverted operator puts it on top
+        m = Mixture((0.5, 0.5), (Gaussian(-4.0, 0.3), Gaussian(4.0, 0.3)))
+        lo, hi = m.window(1e-13)
+        coarse = poincare._rayleigh_max(m, lo, hi, 1024)
+        fine = poincare._rayleigh_max(m, lo, hi, 32768)
+        assert coarse > 1e10
+        assert fine == pytest.approx(coarse, rel=1e-6)
+        reports = inverse_theorem_check(m)
+        assert [r for r in reports if r.verdict == "skipped"] == []

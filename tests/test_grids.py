@@ -24,7 +24,6 @@ from entrolab.grids import (
     discretize,
     entropy,
     gaussian_fit,
-    grid_moments,
     kl_divergence,
     l1_distance,
     reflect,
@@ -119,8 +118,8 @@ class TestConvolve:
     def test_moments_add(self):
         a = discretize(Gaussian(1.0, 2.0))
         b = discretize(Laplace(-0.5, 1.0))
-        ma, mb = grid_moments(a), grid_moments(b)
-        out = grid_moments(convolve(a, b))
+        ma, mb = a.moments, b.moments
+        out = convolve(a, b).moments
         assert out.mean == pytest.approx(ma.mean + mb.mean, abs=1e-8)
         assert out.variance == pytest.approx(ma.variance + mb.variance, abs=1e-8)
 
@@ -289,8 +288,8 @@ class TestConvolutionPower:
         h_fold, _ = entropy(fold)
         h_power, err = entropy(power)
         assert abs(h_power - h_fold) <= err
-        assert grid_moments(power).mean == pytest.approx(grid_moments(fold).mean,
-                                                         abs=leaf.spec.step)
+        assert power.moments.mean == pytest.approx(fold.moments.mean,
+                                                   abs=leaf.spec.step)
 
     def test_power_of_one_is_the_operand(self, ctx):
         g = ctx.grid(Laplace(0, 1))
@@ -299,7 +298,7 @@ class TestConvolutionPower:
 
     def test_power_charges_the_fold_sampling_terms(self):
         g = discretize(Uniform(0, 1))
-        step, var = g.spec.step, grid_moments(g).variance
+        step, var = g.spec.step, g.moments.variance
         sampling = sum(grids.SAMPLING_COEF * step ** 2 / (j * var) for j in range(2, 6))
         assert convolve_power(g, 5).error_estimate >= 5 * g.error_estimate + sampling
 
@@ -330,7 +329,7 @@ class TestFftLength:
 
 def test_import_loads_no_fft_or_interpolation_module():
     # no scipy module at all: the catalog's special functions are in
-    # entrolab._special and the Poincare eigensolver is imported on first use
+    # entrolab._special and the Poincare oracle is numpy-only
     src = os.path.dirname(os.path.dirname(grids.__file__))
     code = ("import sys, entrolab, entrolab.cli; print(sorted(m for m in sys.modules "
             "if m.startswith('scipy')))")
@@ -439,7 +438,7 @@ class TestReflect:
     def test_exponential_reflection_moments(self):
         e = discretize(Exponential(1.0))
         r = reflect(e)
-        assert grid_moments(r).mean == pytest.approx(-1.0, abs=1e-6)
+        assert r.moments.mean == pytest.approx(-1.0, abs=1e-6)
         assert r.spec.origin + r.spec.width <= 1e-12
 
 
