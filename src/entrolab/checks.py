@@ -1,10 +1,15 @@
-"""Registry of sumset-type entropy inequalities as executable checks.
+"""Registry of sumset-type entropy inequalities, each written once.
 
-Each check evaluates both sides of one inequality or identity through the
-grid pipeline, propagates the grid error estimates, and reports slack with
-a verdict.  Mutual-information quantities are always computed as entropy
-differences of independent-sum laws (I(X+Y;Y) = h(X+Y) - h(X)), keeping
-everything one-dimensional.
+Every check is a linear form in entropies of signed independent sums.  It is
+written once, as a function of an entropy backend ``h(*terms)`` whose terms
+are (sign, law) pairs and whose result is an ``Approx`` (value, err).  The
+same definition runs on two backends: ``GridContext.entropy`` (differential
+entropy of continuous laws on grids, ``run_check``) and the exact cyclic-group
+backend of ``entrolab.discrete`` (Shannon entropy, ``check_discrete_registry``).
+err propagates term by term through each check's own arithmetic; the group
+backend's err is 0.  Mutual-information quantities are entropy differences of
+independent-sum laws (I(X+Y;Y) = h(X+Y) - h(X)), keeping everything
+one-dimensional.
 """
 
 from __future__ import annotations
@@ -12,19 +17,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import grids
-from .distributions import DensityModel, Gaussian, Mixture, Uniform
+from .distributions import DensityModel, Exponential, Gaussian, Laplace, Mixture, Uniform
 from .poincare import poincare_constant
 from .report import InequalityReport, make_report
 
 __all__ = [
+    "Approx",
     "CheckDef",
     "RuzsaFunctionals",
     "GridContext",
+    "REGISTRY",
     "CHECKS",
     "run_check",
     "ruzsa_distance",
@@ -36,8 +43,29 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+DEGENERATE = "degenerate denominator"
 
-Terms = tuple[tuple[int, DensityModel], ...]
+
+class Approx(NamedTuple):
+    """A value and a bound on its numerical error.
+
+    x + y and x - y carry x.err + y.err, and c * x carries |c| * x.err, so
+    err accumulates term by term in the order an expression is written.
+    """
+
+    value: float
+    err: float = 0.0
+
+    def __add__(self, other: Approx) -> Approx:
+        return Approx(self.value + other.value, self.err + other.err)
+
+    def __sub__(self, other: Approx) -> Approx:
+        return Approx(self.value - other.value, self.err + other.err)
+
+    def __mul__(self, c: float) -> Approx:
+        return Approx(c * self.value, abs(c) * self.err)
+
+    __rmul__ = __mul__
 
 
 class GridContext:
@@ -56,7 +84,7 @@ class GridContext:
         self.count = count
         self.window_sigmas = window_sigmas
         self._grids: dict[str, grids.GridDensity] = {}
-        self._entropies: dict[tuple, tuple[float, float]] = {}
+        self._entropies: dict[tuple, Approx] = {}
 
     def grid(self, m: DensityModel) -> grids.GridDensity:
         key = m.content_key
@@ -76,7 +104,7 @@ class GridContext:
             out = part if out is None else grids.convolve(out, part)
         return out
 
-    def entropy(self, *terms: tuple[int, DensityModel]) -> tuple[float, float]:
+    def entropy(self, *terms: tuple[int, DensityModel]) -> Approx:
         """(value, err) of the signed independent sum of the given terms.
 
         The sum evaluated is the given one with every symmetric law's sign
@@ -85,7 +113,7 @@ class GridContext:
         terms = tuple((1 if m.symmetric else sign, m) for sign, m in terms)
         key = tuple(sorted(_term_key(t) for t in terms))
         if key not in self._entropies:
-            self._entropies[key] = grids.entropy(self.sum_grid(terms))
+            self._entropies[key] = Approx(*grids.entropy(self.sum_grid(terms)))
         return self._entropies[key]
 
 
@@ -98,282 +126,237 @@ def _term_key(term: tuple[int, DensityModel]) -> tuple[str, int]:
 class RuzsaFunctionals:
     """Additive-entropy functionals of a single law (all grid-based)."""
 
-    dist_r: float  # self-distance h(X - X') - h(X), nats
-    sigma: float  # doubling constant exp{h(X+X') - h(X)}
-    delta: float  # difference constant exp{h(X-X') - h(X)}
     delta_plus: float  # h(X+X') - h(X), nats
     delta_minus: float  # h(X-X') - h(X), nats
     err_plus: float
     err_minus: float
 
+    @property
+    def dist_r(self) -> float:
+        """Self-distance h(X - X') - h(X), nats."""
+        return self.delta_minus
 
-def ruzsa_distance(ctx: GridContext, mx: DensityModel, my: DensityModel) -> tuple[float, float]:
+    @property
+    def sigma(self) -> float:
+        """Doubling constant exp{h(X+X') - h(X)}."""
+        return math.exp(self.delta_plus)
+
+    @property
+    def delta(self) -> float:
+        """Difference constant exp{h(X-X') - h(X)}."""
+        return math.exp(self.delta_minus)
+
+
+def ruzsa_distance(ctx: GridContext, mx: DensityModel, my: DensityModel) -> Approx:
     """dist(X, Y) = h(X' - Y') - h(X')/2 - h(Y')/2 for independent copies."""
-    h_diff, e_diff = ctx.entropy((1, mx), (-1, my))
-    h_x, e_x = ctx.entropy((1, mx))
-    h_y, e_y = ctx.entropy((1, my))
-    return h_diff - 0.5 * h_x - 0.5 * h_y, e_diff + 0.5 * e_x + 0.5 * e_y
+    return _dist(ctx.entropy, mx, my)
 
 
 def doubling_and_difference(ctx: GridContext, m: DensityModel) -> RuzsaFunctionals:
-    h_x, e_x = ctx.entropy((1, m))
-    h_sum, e_sum = ctx.entropy((1, m), (1, m))
-    h_diff, e_diff = ctx.entropy((1, m), (-1, m))
-    dplus = h_sum - h_x
-    dminus = h_diff - h_x
-    return RuzsaFunctionals(
-        dist_r=dminus,
-        sigma=math.exp(dplus),
-        delta=math.exp(dminus),
-        delta_plus=dplus,
-        delta_minus=dminus,
-        err_plus=e_sum + e_x,
-        err_minus=e_diff + e_x,
-    )
+    d_plus, d_minus = _deltas(ctx.entropy, m)
+    return RuzsaFunctionals(d_plus.value, d_minus.value, d_plus.err, d_minus.err)
 
 
 # ---------------------------------------------------------------------------
-# registry evaluators: each returns (lhs, rhs, err, note, degenerate)
+# the registry: each check maps an entropy backend h and its input laws to
+# candidate sides [(lhs, rhs, note), ...] of lhs <= rhs
 
 
-def _eval_lower_bound(ctx, models):
-    x, y = models
-    h_x, e_x = ctx.entropy((1, x))
-    h_y, e_y = ctx.entropy((1, y))
-    h_sum, e_sum = ctx.entropy((1, x), (1, y))
-    lhs, e_lhs = (h_x, e_x) if h_x >= h_y else (h_y, e_y)
-    return lhs, h_sum, e_lhs + e_sum, None, False
+def _dist(h, x, y):
+    return h((1, x), (-1, y)) - 0.5 * h((1, x)) - 0.5 * h((1, y))
 
 
-def _eval_ruzsa_triangle(ctx, models):
-    x, y, z = models
-    h_xz, e1 = ctx.entropy((1, x), (-1, z))
-    h_xy, e2 = ctx.entropy((1, x), (-1, y))
-    h_yz, e3 = ctx.entropy((1, y), (-1, z))
-    h_y, e4 = ctx.entropy((1, y))
-    return h_xz, h_xy + h_yz - h_y, e1 + e2 + e3 + e4, None, False
+def _deltas(h, x):
+    """(h(X+X') - h(X), h(X-X') - h(X)) for i.i.d. copies."""
+    h_x = h((1, x))
+    return h((1, x), (1, x)) - h_x, h((1, x), (-1, x)) - h_x
 
 
-def _eval_triangle_metric(ctx, models):
-    x, y, z = models
-    d_xz, e1 = ruzsa_distance(ctx, x, z)
-    d_xy, e2 = ruzsa_distance(ctx, x, y)
-    d_yz, e3 = ruzsa_distance(ctx, y, z)
-    return d_xz, d_xy + d_yz, e1 + e2 + e3, None, False
-
-
-def _eval_csumdiff(ctx, models):
-    x, y, z = models
-    h_xz, e1 = ctx.entropy((1, x), (-1, z))
-    h_y, e2 = ctx.entropy((1, y))
-    h_xy, e3 = ctx.entropy((1, x), (1, y))
-    h_yz, e4 = ctx.entropy((1, y), (1, z))
-    return h_xz + h_y, h_xy + h_yz, e1 + e2 + e3 + e4, None, False
-
-
-def _eval_c3122(ctx, models):
-    x, y, z = models
-    h_xyz, e1 = ctx.entropy((1, x), (1, y), (1, z))
-    h_y, e2 = ctx.entropy((1, y))
-    h_xy, e3 = ctx.entropy((1, x), (1, y))
-    h_yz, e4 = ctx.entropy((1, y), (1, z))
-    return h_xyz + h_y, h_xy + h_yz, e1 + e2 + e3 + e4, None, False
-
-
-def _eval_doubling_difference(ctx, models):
-    (x,) = models
-    f = doubling_and_difference(ctx, x)
-    err = f.err_plus + f.err_minus
-    if abs(f.delta_minus) <= f.err_minus:
-        return f.delta_plus, f.delta_minus, err, "degenerate denominator", True
-    ratio = f.delta_plus / f.delta_minus
-    note = f"ratio={ratio:.6f}"
-    # two-sided: ratio in [1/2, 2]; report the binding side in log form
-    slack_upper = 2.0 * f.delta_minus - f.delta_plus
-    slack_lower = f.delta_plus - 0.5 * f.delta_minus
-    e_upper = 2.0 * f.err_minus + f.err_plus
-    e_lower = f.err_plus + 0.5 * f.err_minus
-    if slack_upper <= slack_lower:
-        return f.delta_plus, 2.0 * f.delta_minus, e_upper, note + " side=upper", False
-    return 0.5 * f.delta_minus, f.delta_plus, e_lower, note + " side=lower", False
-
-
-def _eval_sigma_delta(ctx, models):
-    (x,) = models
-    f = doubling_and_difference(ctx, x)
+def _doubling_sides(d_plus, d_minus, note=""):
     # log form of delta^(1/2) <= sigma <= delta^2
-    slack_lower = f.delta_plus - 0.5 * f.delta_minus
-    slack_upper = 2.0 * f.delta_minus - f.delta_plus
-    e_lower = f.err_plus + 0.5 * f.err_minus
-    e_upper = 2.0 * f.err_minus + f.err_plus
-    if slack_upper <= slack_lower:
-        return f.delta_plus, 2.0 * f.delta_minus, e_upper, "side=upper", False
-    return 0.5 * f.delta_minus, f.delta_plus, e_lower, "side=lower", False
+    return [(d_plus, 2.0 * d_minus, note + "side=upper"),
+            (0.5 * d_minus, d_plus, note + "side=lower")]
 
 
-def _eval_sum_difference(ctx, models):
+def _lower_bound(h, models):
     x, y = models
-    h_sum, e1 = ctx.entropy((1, x), (1, y))
-    h_diff, e2 = ctx.entropy((1, x), (-1, y))
-    h_x, e3 = ctx.entropy((1, x))
-    h_y, e4 = ctx.entropy((1, y))
-    return h_sum, 3.0 * h_diff - h_x - h_y, e1 + 3.0 * e2 + e3 + e4, None, False
+    h_x, h_y, h_sum = h((1, x)), h((1, y)), h((1, x), (1, y))
+    return [(h_x, h_sum, None), (h_y, h_sum, None)]
 
 
-def _eval_sum_difference_mi(ctx, models, alpha):
+def _sum_upper(h, models):
     x, y = models
-    h_sum, e_sum = ctx.entropy((1, x), (1, y))
-    h_diff, e_diff = ctx.entropy((1, x), (-1, y))
-    h_x, e_x = ctx.entropy((1, x))
-    h_y, e_y = ctx.entropy((1, y))
-    i_sum_x = h_sum - h_y  # I(X+Y;X)
-    i_sum_y = h_sum - h_x
-    i_diff_x = h_diff - h_y
-    i_diff_y = h_diff - h_x
-    lhs = alpha * i_sum_x + (1.0 - alpha) * i_sum_y
-    rhs = (1.0 + alpha) * i_diff_x + (2.0 - alpha) * i_diff_y
-    err = (e_sum + alpha * e_y + (1.0 - alpha) * e_x
-           + 3.0 * e_diff + (1.0 + alpha) * e_y + (2.0 - alpha) * e_x)
-    return lhs, rhs, err, None, False
+    return [(h((1, x), (1, y)), h((1, x)) + h((1, y)), None)]
 
 
-def _eval_plunnecke_ruzsa(ctx, models, n):
-    x, ys = models[0], models[1 : n + 1]
-    h_x, e_x = ctx.entropy((1, x))
-    rhs, err = h_x, e_x
-    for y in ys:
-        h_xy, e_xy = ctx.entropy((1, x), (1, y))
-        rhs += h_xy - h_x  # log K_i, computed rather than user-supplied
-        err += e_xy + e_x
-    terms = ((1, x),) + tuple((1, y) for y in ys)
-    lhs, e_lhs = ctx.entropy(*terms)
-    return lhs, rhs, err + e_lhs, None, False
+def _ruzsa_triangle(h, models):
+    x, y, z = models
+    return [(h((1, x), (-1, z)),
+             h((1, x), (-1, y)) + h((1, y), (-1, z)) - h((1, y)), None)]
 
 
-def _eval_four_variable(ctx, models):
-    x, y, z, w = models
-    h_all, e1 = ctx.entropy((1, x), (1, y), (1, z), (1, w))
-    h_y, e2 = ctx.entropy((1, y))
-    h_z, e3 = ctx.entropy((1, z))
-    h_xy, e4 = ctx.entropy((1, x), (1, y))
-    h_yz, e5 = ctx.entropy((1, y), (1, z))
-    h_zw, e6 = ctx.entropy((1, z), (1, w))
-    return h_all + h_y + h_z, h_xy + h_yz + h_zw, e1 + e2 + e3 + e4 + e5 + e6, None, False
+def _triangle_metric(h, models):
+    x, y, z = models
+    return [(_dist(h, x, z), _dist(h, x, y) + _dist(h, y, z), None)]
 
 
-def _eval_iterated_sum(ctx, models, n):
-    x, y = models
-    copies = n + 1
-    terms = tuple((1, x) for _ in range(copies)) + tuple((1, y) for _ in range(copies))
-    lhs, e_lhs = ctx.entropy(*terms)
-    h_xy, e_xy = ctx.entropy((1, x), (1, y))
-    h_x, e_x = ctx.entropy((1, x))
-    h_y, e_y = ctx.entropy((1, y))
-    rhs = (2 * n + 1) * h_xy - n * h_x - n * h_y
-    err = e_lhs + (2 * n + 1) * e_xy + n * e_x + n * e_y
-    return lhs, rhs, err, None, False
+def _csumdiff(h, models):
+    x, y, z = models
+    return [(h((1, x), (-1, z)) + h((1, y)), h((1, x), (1, y)) + h((1, y), (1, z)), None)]
 
 
-def _eval_epi_doubling(ctx, models):
+def _c3122(h, models):
+    x, y, z = models
+    return [(h((1, x), (1, y), (1, z)) + h((1, y)),
+             h((1, x), (1, y)) + h((1, y), (1, z)), None)]
+
+
+def _doubling_difference(h, models):
     (x,) = models
-    f = doubling_and_difference(ctx, x)
-    slack_plus = f.delta_plus - 0.5 * LN2
-    slack_minus = f.delta_minus - 0.5 * LN2
-    if slack_plus <= slack_minus:
-        return 0.5 * LN2, f.delta_plus, f.err_plus, "side=sum", False
-    return 0.5 * LN2, f.delta_minus, f.err_minus, "side=difference", False
+    d_plus, d_minus = _deltas(h, x)
+    # the grid err of d_minus, or float round-off where err is exact
+    if abs(d_minus.value) <= max(d_minus.err, 1e-9):
+        return [(d_plus, d_minus, DEGENERATE)]
+    # two-sided: ratio in [1/2, 2], in log form
+    return _doubling_sides(d_plus, d_minus, f"ratio={d_plus.value / d_minus.value:.6f} ")
+
+
+def _sigma_delta(h, models):
+    (x,) = models
+    return _doubling_sides(*_deltas(h, x))
+
+
+def _sum_difference(h, models):
+    x, y = models
+    return [(h((1, x), (1, y)),
+             3.0 * h((1, x), (-1, y)) - h((1, x)) - h((1, y)), None)]
+
+
+def _sum_difference_mi(h, models, alpha):
+    x, y = models
+    h_sum, h_diff = h((1, x), (1, y)), h((1, x), (-1, y))
+    h_x, h_y = h((1, x)), h((1, y))
+    # I(X+Y;X) = h(X+Y) - h(Y), I(X-Y;Y) = h(X-Y) - h(X) and so on
+    lhs = alpha * (h_sum - h_y) + (1.0 - alpha) * (h_sum - h_x)
+    rhs = (1.0 + alpha) * (h_diff - h_y) + (2.0 - alpha) * (h_diff - h_x)
+    return [(lhs, rhs, None)]
+
+
+def _plunnecke_ruzsa(h, models, n):
+    x, ys = models[0], models[1 : n + 1]
+    h_x = h((1, x))
+    rhs = h_x
+    for y in ys:
+        rhs += h((1, x), (1, y)) - h_x  # log K_i, computed rather than user-supplied
+    return [(h((1, x), *((1, y) for y in ys)), rhs, None)]
+
+
+def _four_variable(h, models):
+    x, y, z, w = models
+    return [(h((1, x), (1, y), (1, z), (1, w)) + h((1, y)) + h((1, z)),
+             h((1, x), (1, y)) + h((1, y), (1, z)) + h((1, z), (1, w)), None)]
+
+
+def _iterated_sum(h, models, n):
+    x, y = models
+    lhs = h(*[(1, x)] * (n + 1), *[(1, y)] * (n + 1))
+    return [(lhs, (2 * n + 1) * h((1, x), (1, y)) - n * h((1, x)) - n * h((1, y)), None)]
+
+
+def _epi_doubling(h, models):
+    (x,) = models
+    d_plus, d_minus = _deltas(h, x)
+    half_ln2 = Approx(0.5 * LN2)
+    return [(half_ln2, d_plus, "side=sum"), (half_ln2, d_minus, "side=difference")]
 
 
 @dataclass(frozen=True)
 class CheckDef:
-    """One registered inequality/identity over independent catalog models."""
+    """One registered inequality over independent input laws.
+
+    ``evaluator(h, models, **params)`` returns the candidate sides
+    [(lhs, rhs, note), ...] of lhs <= rhs as ``Approx`` values, computed
+    through the entropy backend ``h``.  A check runs on grids (differential
+    entropy) and on cyclic groups (Shannon entropy) unless it is false for
+    one of them.
+    """
 
     id: str
     statement: str
     arity: int  # number of independent input models (before params)
-    kind: str  # "inequality" | "identity" | "two-sided-bound"
     evaluator: Callable
     variants: tuple[dict, ...] = (dict(),)
+    grid: bool = True
+    group: bool = True
 
     def arity_for(self, params: dict) -> int:
         if self.id == "plunnecke_ruzsa":
-            return 1 + params["n"]
+            return 1 + params.get("n", 1)
         return self.arity
 
+    def evaluate(self, h: Callable, models: Sequence, params: dict):
+        """The binding side (lhs, rhs, note): least rhs - lhs, the first on a tie."""
+        need = self.arity_for(params)
+        if len(models) != need:
+            raise ValueError(f"check '{self.id}' needs {need} inputs, got {len(models)}")
+        sides = self.evaluator(h, tuple(models), **params)
+        return min(sides, key=lambda side: side[1].value - side[0].value)
 
-CHECKS: dict[str, CheckDef] = {
-    c.id: c
-    for c in [
-        CheckDef(
-            "lower_bound",
-            "h(X+Y) >= max(h(X), h(Y)) for independent X, Y",
-            2, "inequality", _eval_lower_bound,
-        ),
-        CheckDef(
-            "ruzsa_triangle",
-            "h(X-Z) <= h(X-Y) + h(Y-Z) - h(Y) for independent X, Y, Z",
-            3, "inequality", _eval_ruzsa_triangle,
-        ),
-        CheckDef(
-            "triangle_metric",
-            "dist(X,Z) <= dist(X,Y) + dist(Y,Z) for the entropy distance",
-            3, "inequality", _eval_triangle_metric,
-        ),
-        CheckDef(
-            "csumdiff",
-            "h(X-Z) + h(Y) <= h(X+Y) + h(Y+Z) for independent X, Y, Z",
-            3, "inequality", _eval_csumdiff,
-        ),
-        CheckDef(
-            "c3122",
-            "h(X+Y+Z) + h(Y) <= h(X+Y) + h(Y+Z) for independent X, Y, Z",
-            3, "inequality", _eval_c3122,
-        ),
-        CheckDef(
-            "doubling_difference",
-            "1/2 <= (h(X1+X2)-h(X1)) / (h(X1-X2)-h(X1)) <= 2 for i.i.d. X1, X2",
-            1, "two-sided-bound", _eval_doubling_difference,
-        ),
-        CheckDef(
-            "sigma_delta",
-            "delta^(1/2) <= sigma <= delta^2 for the doubling/difference constants",
-            1, "two-sided-bound", _eval_sigma_delta,
-        ),
-        CheckDef(
-            "sum_difference",
-            "h(X+Y) <= 3 h(X-Y) - h(X) - h(Y) for independent X, Y",
-            2, "inequality", _eval_sum_difference,
-        ),
-        CheckDef(
-            "sum_difference_mi",
-            "a I(X+Y;X) + (1-a) I(X+Y;Y) <= (1+a) I(X-Y;X) + (2-a) I(X-Y;Y)",
-            2, "inequality", _eval_sum_difference_mi,
-            tuple({"alpha": a} for a in (0.0, 0.25, 0.5, 0.75, 1.0)),
-        ),
-        CheckDef(
-            "plunnecke_ruzsa",
-            "h(X + Y1 + ... + Yn) <= h(X) + sum_i [h(X+Yi) - h(X)]",
-            2, "inequality", _eval_plunnecke_ruzsa,
-            tuple({"n": n} for n in (1, 2, 3, 4)),
-        ),
-        CheckDef(
-            "four_variable",
-            "h(X+Y+Z+W) + h(Y) + h(Z) <= h(X+Y) + h(Y+Z) + h(Z+W)",
-            4, "inequality", _eval_four_variable,
-        ),
-        CheckDef(
-            "iterated_sum",
-            "h(S0+...+Sn) <= (2n+1) h(X+Y) - n h(X) - n h(Y) for i.i.d. sums Si = Xi+Yi",
-            2, "inequality", _eval_iterated_sum,
-            tuple({"n": n} for n in (1, 2, 3)),
-        ),
-        CheckDef(
-            "epi_doubling",
-            "sigma >= sqrt(2) and delta >= sqrt(2): entropy gain of an i.i.d. sum",
-            1, "two-sided-bound", _eval_epi_doubling,
-        ),
-    ]
-}
+    def report(self, check_id: str, h: Callable, models: Sequence, params: dict,
+               extra_err: float, inputs: tuple) -> InequalityReport:
+        """The binding side as a report; extra_err widens its error band."""
+        return _side_report(check_id, *self.evaluate(h, models, params), extra_err,
+                            params=params, inputs=inputs)
+
+
+def _side_report(check_id: str, lhs: Approx, rhs: Approx, note: str | None = None,
+                 extra_err: float = 0.0, **fields) -> InequalityReport:
+    """Report of lhs <= rhs with err = lhs.err + rhs.err + extra_err."""
+    return make_report(check_id, lhs=lhs.value, rhs=rhs.value,
+                       err=lhs.err + rhs.err + extra_err, note=note,
+                       degenerate=note == DEGENERATE, **fields)
+
+
+REGISTRY: tuple[CheckDef, ...] = (
+    CheckDef("lower_bound", "h(X+Y) >= max(h(X), h(Y)) for independent X, Y",
+             2, _lower_bound),
+    # true for Shannon entropy; a sum of narrow laws breaks it for differential entropy
+    CheckDef("sum_upper", "H(X+Y) <= H(X) + H(Y) for independent X, Y",
+             2, _sum_upper, grid=False),
+    CheckDef("ruzsa_triangle", "h(X-Z) <= h(X-Y) + h(Y-Z) - h(Y) for independent X, Y, Z",
+             3, _ruzsa_triangle),
+    CheckDef("triangle_metric", "dist(X,Z) <= dist(X,Y) + dist(Y,Z) for the entropy distance",
+             3, _triangle_metric),
+    CheckDef("csumdiff", "h(X-Z) + h(Y) <= h(X+Y) + h(Y+Z) for independent X, Y, Z",
+             3, _csumdiff),
+    CheckDef("c3122", "h(X+Y+Z) + h(Y) <= h(X+Y) + h(Y+Z) for independent X, Y, Z",
+             3, _c3122),
+    CheckDef("doubling_difference",
+             "1/2 <= (h(X1+X2)-h(X1)) / (h(X1-X2)-h(X1)) <= 2 for i.i.d. X1, X2",
+             1, _doubling_difference),
+    CheckDef("sigma_delta",
+             "delta^(1/2) <= sigma <= delta^2 for the doubling/difference constants",
+             1, _sigma_delta),
+    CheckDef("sum_difference", "h(X+Y) <= 3 h(X-Y) - h(X) - h(Y) for independent X, Y",
+             2, _sum_difference),
+    CheckDef("sum_difference_mi",
+             "a I(X+Y;X) + (1-a) I(X+Y;Y) <= (1+a) I(X-Y;X) + (2-a) I(X-Y;Y)",
+             2, _sum_difference_mi,
+             tuple({"alpha": a} for a in (0.0, 0.25, 0.5, 0.75, 1.0))),
+    CheckDef("plunnecke_ruzsa", "h(X + Y1 + ... + Yn) <= h(X) + sum_i [h(X+Yi) - h(X)]",
+             2, _plunnecke_ruzsa, tuple({"n": n} for n in (1, 2, 3, 4))),
+    CheckDef("four_variable", "h(X+Y+Z+W) + h(Y) + h(Z) <= h(X+Y) + h(Y+Z) + h(Z+W)",
+             4, _four_variable),
+    CheckDef("iterated_sum",
+             "h(S0+...+Sn) <= (2n+1) h(X+Y) - n h(X) - n h(Y) for i.i.d. sums Si = Xi+Yi",
+             2, _iterated_sum, tuple({"n": n} for n in (1, 2, 3))),
+    # the entropy power inequality has no analog on a finite group
+    CheckDef("epi_doubling",
+             "sigma >= sqrt(2) and delta >= sqrt(2): entropy gain of an i.i.d. sum",
+             1, _epi_doubling, group=False),
+)
+
+CHECKS: dict[str, CheckDef] = {c.id: c for c in REGISTRY if c.grid}
 
 
 def run_check(
@@ -390,24 +373,15 @@ def run_check(
     """
     params = params or {}
     ctx = ctx or GridContext()
-    need = check.arity_for(params)
-    if len(models) != need:
-        raise ValueError(f"check '{check.id}' needs {need} models, got {len(models)}")
-    lhs, rhs, err, note, degenerate = check.evaluator(ctx, tuple(models), **params)
-    return make_report(
-        check.id, lhs=lhs, rhs=rhs, err=err + extra_err,
-        kind="identity" if check.kind == "identity" else "inequality",
-        params=params,
-        inputs=tuple(m.to_dict() for m in models),
-        note=note, degenerate=degenerate,
-    )
+    return check.report(check.id, ctx.entropy, models, params, extra_err,
+                        tuple(m.to_dict() for m in models))
 
 
 # ---------------------------------------------------------------------------
 # sum-versus-difference demonstrations
 
 
-def sum_minus_difference_gap(p: float, a: float, ctx: GridContext | None = None) -> tuple[float, float]:
+def sum_minus_difference_gap(p: float, a: float, ctx: GridContext | None = None) -> Approx:
     """h(X1+X2) - h(X1-X2) for the two-cluster law p U(0,1) + (1-p) U(a,a+1).
 
     Returns (gap, err).  For a >= 2 the three clusters of the sum law (at 0,
@@ -428,16 +402,14 @@ def sum_minus_difference_gap(p: float, a: float, ctx: GridContext | None = None)
         m: DensityModel = Uniform(0.0, 1.0)
     else:
         m = Mixture((p, 1.0 - p), (Uniform(0.0, 1.0), Uniform(a, a + 1.0)))
-    h_sum, e_sum = ctx.entropy((1, m), (1, m))
-    h_diff, e_diff = ctx.entropy((1, m), (-1, m))
-    return h_sum - h_diff, e_sum + e_diff
+    return ctx.entropy((1, m), (1, m)) - ctx.entropy((1, m), (-1, m))
 
 
 # smallest set with more pairwise sums than differences
 _SUM_DOMINANT_SET = (0, 2, 3, 4, 7, 11, 12, 14)
 
 
-def sum_dominant_gap(scale: float = 3.0, ctx: GridContext | None = None) -> tuple[float, float]:
+def sum_dominant_gap(scale: float = 3.0, ctx: GridContext | None = None) -> Approx:
     """Positive sum-minus-difference entropy gap from a sum-dominant support.
 
     X is uniform over translates of U(0,1) placed on a scaled set whose
@@ -451,9 +423,7 @@ def sum_dominant_gap(scale: float = 3.0, ctx: GridContext | None = None) -> tupl
     n = len(_SUM_DOMINANT_SET)
     comps = tuple(Uniform(scale * s, scale * s + 1.0) for s in _SUM_DOMINANT_SET)
     m = Mixture((1.0 / n,) * n, comps)
-    h_sum, e_sum = ctx.entropy((1, m), (1, m))
-    h_diff, e_diff = ctx.entropy((1, m), (-1, m))
-    return h_sum - h_diff, e_sum + e_diff
+    return ctx.entropy((1, m), (1, m)) - ctx.entropy((1, m), (-1, m))
 
 
 # ---------------------------------------------------------------------------
@@ -475,30 +445,22 @@ def inverse_theorem_check(
     available.
     """
     ctx = ctx or GridContext()
-    f = doubling_and_difference(ctx, m)
+    d_plus, d_minus = _deltas(ctx.entropy, m)
     g = ctx.grid(m)
     phi = grids.gaussian_fit(g)
-    div, div_err = grids.kl_divergence(g, phi)
+    div = Approx(*grids.kl_divergence(g, phi))
+    l1 = grids.l1_distance(g, phi)
     var = g.moments.variance
     echo = (m.to_dict(),)
-    half_ln2 = 0.5 * LN2
-
+    half_ln2 = Approx(0.5 * LN2)
     reports = [
-        make_report("inverse_epi_sigma", lhs=half_ln2, rhs=f.delta_plus,
-                    err=f.err_plus, inputs=echo),
-        make_report("inverse_epi_delta", lhs=half_ln2, rhs=f.delta_minus,
-                    err=f.err_minus, inputs=echo),
-        make_report("inverse_reverse_sigma", lhs=f.delta_plus, rhs=half_ln2 + div,
-                    err=f.err_plus + div_err, inputs=echo),
-        make_report("inverse_reverse_delta", lhs=f.delta_minus, rhs=half_ln2 + div,
-                    err=f.err_minus + div_err, inputs=echo),
+        _side_report("inverse_epi_sigma", half_ln2, d_plus, inputs=echo),
+        _side_report("inverse_epi_delta", half_ln2, d_minus, inputs=echo),
+        _side_report("inverse_reverse_sigma", d_plus, half_ln2 + div, inputs=echo),
+        _side_report("inverse_reverse_delta", d_minus, half_ln2 + div, inputs=echo),
+        _side_report("inverse_pinsker", Approx(0.5 * l1 * l1, l1 * g.error_estimate), div,
+                     inputs=echo),
     ]
-
-    l1 = grids.l1_distance(g, phi)
-    reports.append(
-        make_report("inverse_pinsker", lhs=0.5 * l1 * l1, rhs=div,
-                    err=div_err + l1 * g.error_estimate, inputs=echo)
-    )
 
     r = poincare_constant(m)
     if r is None:
@@ -511,26 +473,16 @@ def inverse_theorem_check(
         return reports
 
     factor = 2.0 * r / var + 1.0
-    reports.append(
-        make_report("inverse_fgr_sigma", lhs=div,
-                    rhs=factor * (f.delta_plus - half_ln2),
-                    err=div_err + factor * f.err_plus, inputs=echo,
-                    note=f"poincare={r:.6g}")
-    )
-    reports.append(
-        make_report("inverse_fgr_delta", lhs=div,
-                    rhs=factor * (2.0 * f.delta_minus - half_ln2),
-                    err=div_err + 2.0 * factor * f.err_minus, inputs=echo,
-                    note=f"poincare={r:.6g}")
-    )
     contraction = var / (2.0 * r + var)
-    reports.append(
-        make_report("inverse_contraction",
-                    lhs=contraction * div, rhs=f.delta_plus - half_ln2,
-                    err=f.err_plus + contraction * div_err, inputs=echo,
-                    note=f"poincare={r:.6g}")
-    )
-    return reports
+    note = f"poincare={r:.6g}"
+    return reports + [
+        _side_report("inverse_fgr_sigma", div, factor * (d_plus - half_ln2),
+                     note, inputs=echo),
+        _side_report("inverse_fgr_delta", div, factor * (2.0 * d_minus - half_ln2),
+                     note, inputs=echo),
+        _side_report("inverse_contraction", contraction * div, d_plus - half_ln2,
+                     note, inputs=echo),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +501,10 @@ def default_corpus(seed: int, size: int = 100) -> list[DensityModel]:
             lo = rng.uniform(-3, 3)
             out.append(Uniform(lo, lo + rng.uniform(0.5, 6.0)))
         elif kind == 2:
-            from .distributions import Exponential
-
             out.append(Exponential(rng.uniform(1.0 / 3.0, 3.0),
                                    shift=rng.uniform(-2, 2),
                                    reflected=bool(rng.integers(2))))
         elif kind == 3:
-            from .distributions import Laplace
-
             out.append(Laplace(rng.uniform(-3, 3), rng.uniform(0.3, 3.0)))
         else:
             n_comp = int(rng.integers(2, 4))

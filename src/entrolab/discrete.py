@@ -2,18 +2,22 @@
 
 Everything here is exhaustive computation on dense probability tables, so
 checks are exact up to 1e-12 float accumulation: there is no numerical
-error band to argue about, and identities must land on the nose.  This is
-also where the results live that are true for Shannon entropy but fail for
-differential entropy (functional submodularity, the covering identity).
+error band to argue about, and identities must land on the nose.  The
+sumset checks are the ones registered in ``entrolab.checks``, run on the
+group backend ``_group_entropy``, which folds ``sum_pmf`` and
+``reflect_pmf``.  This is also where the results live that are true for
+Shannon entropy but fail for differential entropy (``sum_upper``,
+functional submodularity, the covering identity).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .checks import REGISTRY, Approx, CheckDef
 from .report import InequalityReport, make_report
 
 __all__ = [
@@ -26,6 +30,7 @@ __all__ = [
     "check_covering_lemma",
     "check_discrete_registry",
     "random_pmf",
+    "GROUP_CHECKS",
     "DISCRETE_CHECK_IDS",
     "DISCRETE_REGISTRY_ORDER",
 ]
@@ -214,156 +219,27 @@ def check_covering_lemma(p: DiscretePmf, q: DiscretePmf,
 
 
 # ---------------------------------------------------------------------------
-# discrete registry: exact analogs of the continuous sumset checks
+# the sumset registry of entrolab.checks, on the exact group backend
 
 
-def _iid_power(p: DiscretePmf, copies: int) -> DiscretePmf:
-    out = p
-    for _ in range(copies - 1):
-        out = sum_pmf(out, p)
-    return out
+def _group_entropy(*terms: tuple[int, DiscretePmf]) -> Approx:
+    """Exact entropy of a signed sum of independent pmfs, folded left to right."""
+    out = None
+    for sign, p in terms:
+        p = p if sign > 0 else reflect_pmf(p)
+        out = p if out is None else sum_pmf(out, p)
+    return Approx(out.entropy(), 0.0)
 
 
-def _dd_functionals(p: DiscretePmf) -> tuple[float, float]:
-    h = p.entropy()
-    d_plus = sum_pmf(p, p).entropy() - h
-    d_minus = difference_pmf(p, p).entropy() - h
-    return d_plus, d_minus
-
-
-def _d_lower_bound(pmfs, params):
-    x, y = pmfs
-    return max(x.entropy(), y.entropy()), sum_pmf(x, y).entropy(), None, False
-
-
-def _d_sum_upper(pmfs, params):
-    x, y = pmfs
-    return sum_pmf(x, y).entropy(), x.entropy() + y.entropy(), None, False
-
-
-def _d_ruzsa_triangle(pmfs, params):
-    x, y, z = pmfs
-    lhs = difference_pmf(x, z).entropy()
-    rhs = difference_pmf(x, y).entropy() + difference_pmf(y, z).entropy() - y.entropy()
-    return lhs, rhs, None, False
-
-
-def _d_dist(x, y):
-    return difference_pmf(x, y).entropy() - 0.5 * x.entropy() - 0.5 * y.entropy()
-
-
-def _d_triangle_metric(pmfs, params):
-    x, y, z = pmfs
-    return _d_dist(x, z), _d_dist(x, y) + _d_dist(y, z), None, False
-
-
-def _d_csumdiff(pmfs, params):
-    x, y, z = pmfs
-    lhs = difference_pmf(x, z).entropy() + y.entropy()
-    rhs = sum_pmf(x, y).entropy() + sum_pmf(y, z).entropy()
-    return lhs, rhs, None, False
-
-
-def _d_c3122(pmfs, params):
-    x, y, z = pmfs
-    lhs = sum_pmf(sum_pmf(x, y), z).entropy() + y.entropy()
-    rhs = sum_pmf(x, y).entropy() + sum_pmf(y, z).entropy()
-    return lhs, rhs, None, False
-
-
-def _d_doubling_difference(pmfs, params):
-    (x,) = pmfs
-    d_plus, d_minus = _dd_functionals(x)
-    if abs(d_minus) <= 1e-9:
-        return d_plus, d_minus, "degenerate denominator", True
-    ratio = d_plus / d_minus
-    note = f"ratio={ratio:.6f}"
-    if 2.0 * d_minus - d_plus <= d_plus - 0.5 * d_minus:
-        return d_plus, 2.0 * d_minus, note + " side=upper", False
-    return 0.5 * d_minus, d_plus, note + " side=lower", False
-
-
-def _d_sigma_delta(pmfs, params):
-    (x,) = pmfs
-    d_plus, d_minus = _dd_functionals(x)
-    if 2.0 * d_minus - d_plus <= d_plus - 0.5 * d_minus:
-        return d_plus, 2.0 * d_minus, "side=upper", False
-    return 0.5 * d_minus, d_plus, "side=lower", False
-
-
-def _d_sum_difference(pmfs, params):
-    x, y = pmfs
-    lhs = sum_pmf(x, y).entropy()
-    rhs = 3.0 * difference_pmf(x, y).entropy() - x.entropy() - y.entropy()
-    return lhs, rhs, None, False
-
-
-def _d_sum_difference_mi(pmfs, params):
-    x, y = pmfs
-    alpha = params["alpha"]
-    h_sum = sum_pmf(x, y).entropy()
-    h_diff = difference_pmf(x, y).entropy()
-    hx, hy = x.entropy(), y.entropy()
-    lhs = alpha * (h_sum - hy) + (1.0 - alpha) * (h_sum - hx)
-    rhs = (1.0 + alpha) * (h_diff - hy) + (2.0 - alpha) * (h_diff - hx)
-    return lhs, rhs, None, False
-
-
-def _d_plunnecke_ruzsa(pmfs, params):
-    x, ys = pmfs[0], pmfs[1:]
-    hx = x.entropy()
-    rhs = hx
-    acc = x
-    for y in ys:
-        rhs += sum_pmf(x, y).entropy() - hx
-        acc = sum_pmf(acc, y)
-    return acc.entropy(), rhs, None, False
-
-
-def _d_four_variable(pmfs, params):
-    x, y, z, w = pmfs
-    lhs = sum_pmf(sum_pmf(x, y), sum_pmf(z, w)).entropy() + y.entropy() + z.entropy()
-    rhs = (sum_pmf(x, y).entropy() + sum_pmf(y, z).entropy()
-           + sum_pmf(z, w).entropy())
-    return lhs, rhs, None, False
-
-
-def _d_iterated_sum(pmfs, params):
-    x, y = pmfs
-    n = params["n"]
-    total = sum_pmf(_iid_power(x, n + 1), _iid_power(y, n + 1))
-    h_xy = sum_pmf(x, y).entropy()
-    rhs = (2 * n + 1) * h_xy - n * x.entropy() - n * y.entropy()
-    return total.entropy(), rhs, None, False
-
-
-_DISCRETE_EVALS: dict[str, tuple[int, Callable]] = {
-    "lower_bound": (2, _d_lower_bound),
-    "sum_upper": (2, _d_sum_upper),
-    "ruzsa_triangle": (3, _d_ruzsa_triangle),
-    "triangle_metric": (3, _d_triangle_metric),
-    "csumdiff": (3, _d_csumdiff),
-    "c3122": (3, _d_c3122),
-    "doubling_difference": (1, _d_doubling_difference),
-    "sigma_delta": (1, _d_sigma_delta),
-    "sum_difference": (2, _d_sum_difference),
-    "sum_difference_mi": (2, _d_sum_difference_mi),
-    "plunnecke_ruzsa": (2, _d_plunnecke_ruzsa),
-    "four_variable": (4, _d_four_variable),
-    "iterated_sum": (2, _d_iterated_sum),
-}
+GROUP_CHECKS: dict[str, CheckDef] = {c.id: c for c in REGISTRY if c.group}
 
 # registry order: the order in which `entrolab discrete` reports the checks
-DISCRETE_REGISTRY_ORDER = tuple(_DISCRETE_EVALS)
-DISCRETE_CHECK_IDS = tuple(sorted(_DISCRETE_EVALS))
+DISCRETE_REGISTRY_ORDER = tuple(GROUP_CHECKS)
+DISCRETE_CHECK_IDS = tuple(sorted(GROUP_CHECKS))
 
 
 def discrete_arity(check_id: str, params: dict | None = None) -> int:
-    params = params or {}
-    arity, _ = _DISCRETE_EVALS[check_id]
-    if check_id == "plunnecke_ruzsa":
-        return 1 + params.get("n", 1)
-    return arity
+    return GROUP_CHECKS[check_id].arity_for(params or {})
 
 
 def check_discrete_registry(
@@ -376,22 +252,15 @@ def check_discrete_registry(
 
     extra_err widens the error band as in ``check_functional_submodularity``.
     """
-    if check_id not in _DISCRETE_EVALS:
+    if check_id not in GROUP_CHECKS:
         raise KeyError(f"unknown discrete check '{check_id}'")
     params = dict(params or {})
     if check_id == "sum_difference_mi":
         params.setdefault("alpha", 0.5)
     if check_id in ("plunnecke_ruzsa", "iterated_sum"):
         params.setdefault("n", 2)
-    need = discrete_arity(check_id, params)
-    if len(pmfs) != need:
-        raise ValueError(f"check '{check_id}' needs {need} pmfs, got {len(pmfs)}")
-    orders = {p.group_order for p in pmfs}
-    if len(orders) != 1:
+    if len({p.group_order for p in pmfs}) > 1:
         raise ValueError("all pmfs must share one group order")
-    _, evaluator = _DISCRETE_EVALS[check_id]
-    lhs, rhs, note, degenerate = evaluator(tuple(pmfs), params)
-    return make_report(f"discrete.{check_id}", lhs=lhs, rhs=rhs, err=EXACT_TOL + extra_err,
-                       params=params, note=note, degenerate=degenerate,
-                       inputs=tuple({"group_order": p.group_order,
-                                     "probs": p.probs.tolist()} for p in pmfs))
+    return GROUP_CHECKS[check_id].report(
+        f"discrete.{check_id}", _group_entropy, pmfs, params, EXACT_TOL + extra_err,
+        tuple({"group_order": p.group_order, "probs": p.probs.tolist()} for p in pmfs))

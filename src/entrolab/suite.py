@@ -314,7 +314,8 @@ def _discrete_job(args) -> list[InequalityReport]:
             cid = check_id.removeprefix("discrete.")
             params = {}
             if cid == "sum_difference_mi":
-                params = {"alpha": float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))}
+                alphas = [v["alpha"] for v in CHECKS[cid].variants]
+                params = {"alpha": float(rng.choice(alphas))}
             if cid in ("plunnecke_ruzsa", "iterated_sum"):
                 params = {"n": int(rng.integers(1, 4))}
             k = discrete_arity(cid, params)

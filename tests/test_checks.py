@@ -6,6 +6,8 @@ import pytest
 from entrolab import grids
 from entrolab.checks import (
     CHECKS,
+    REGISTRY,
+    Approx,
     GridContext,
     default_corpus,
     doubling_and_difference,
@@ -15,6 +17,7 @@ from entrolab.checks import (
     ruzsa_distance,
     run_check,
 )
+from entrolab.discrete import GROUP_CHECKS
 from entrolab.distributions import Exponential, Gaussian, Laplace, Uniform
 from entrolab.estimators import estimate_functional
 from entrolab.distributions import Mixture
@@ -182,6 +185,43 @@ class TestRegistryGoldenCases:
     def test_arity_mismatch_rejected(self, ctx):
         with pytest.raises(ValueError):
             run_check(CHECKS["ruzsa_triangle"], [Gaussian(0, 1)], ctx)
+
+
+def gaussian_entropy(*terms):
+    """Closed-form backend: a signed sum of independent Gaussians is Gaussian."""
+    return Approx(0.5 * math.log(2 * math.pi * math.e * sum(m.variance for _, m in terms)))
+
+
+class TestGaussianOracle:
+    """Every grid check against the same definition on the closed-form backend."""
+
+    @pytest.mark.parametrize("cid,params", [(c.id, p) for c in CHECKS.values()
+                                            for p in c.variants], ids=str)
+    def test_grid_sides_within_err(self, ctx, cid, params):
+        check = CHECKS[cid]
+        rng = np.random.default_rng(sorted(CHECKS).index(cid))
+        for _ in range(3):
+            models = [Gaussian(rng.uniform(-3, 3), rng.uniform(0.25, 9.0))
+                      for _ in range(check.arity_for(params))]
+            lhs, rhs, note = check.evaluate(ctx.entropy, models, params)
+            exact_lhs, exact_rhs, exact_note = check.evaluate(gaussian_entropy, models, params)
+            assert (abs(lhs.value - exact_lhs.value) + abs(rhs.value - exact_rhs.value)
+                    <= lhs.err + rhs.err)
+            assert note == exact_note
+
+
+class TestOneRegistry:
+    def test_shared_ids_share_one_definition(self):
+        shared = set(CHECKS) & set(GROUP_CHECKS)
+        assert len(shared) == 12
+        assert all(CHECKS[cid] is GROUP_CHECKS[cid] for cid in shared)
+        assert {c.id for c in REGISTRY} == set(CHECKS) | set(GROUP_CHECKS)
+
+    def test_backend_specific_checks(self):
+        # H(X+Y) <= H(X) + H(Y) fails for differential entropy, and the
+        # entropy power inequality fails on a finite group
+        assert "sum_upper" not in CHECKS and "sum_upper" in GROUP_CHECKS
+        assert "epi_doubling" in CHECKS and "epi_doubling" not in GROUP_CHECKS
 
 
 class TestRandomizedCorpus:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrolab.checks import Approx
 from entrolab.discrete import (
     DISCRETE_CHECK_IDS,
+    DISCRETE_REGISTRY_ORDER,
+    GROUP_CHECKS,
     DiscreteJoint,
     DiscretePmf,
     check_covering_lemma,
@@ -237,3 +241,28 @@ class TestDiscreteRegistry:
     def test_sigma_delta_property(self, p):
         rep = check_discrete_registry("sigma_delta", [p])
         assert rep.slack >= -1e-12
+
+
+def brute_force_entropy(*terms):
+    """Group backend by enumeration: the law of the signed sum over every tuple of values."""
+    n = terms[0][1].group_order
+    law = np.zeros(n)
+    for values in itertools.product(range(n), repeat=len(terms)):
+        s = sum(sign * v for (sign, _), v in zip(terms, values))
+        law[s % n] += math.prod(p.probs[v] for (_, p), v in zip(terms, values))
+    return Approx(DiscretePmf(n, law).entropy())
+
+
+class TestBruteForceOracle:
+    """Every group check against the same definition on the enumeration backend."""
+
+    @pytest.mark.parametrize("cid,params", [(cid, p) for cid in DISCRETE_REGISTRY_ORDER
+                                            for p in GROUP_CHECKS[cid].variants], ids=str)
+    def test_matches_the_sum_pmf_backend(self, cid, params):
+        check = GROUP_CHECKS[cid]
+        rng = np.random.default_rng(DISCRETE_REGISTRY_ORDER.index(cid))
+        pmfs = [random_pmf(rng, 4) for _ in range(check.arity_for(params))]
+        rep = check_discrete_registry(cid, pmfs, params)
+        lhs, rhs, note = check.evaluate(brute_force_entropy, pmfs, params)
+        assert abs(rep.lhs - lhs.value) <= 1e-12 and abs(rep.rhs - rhs.value) <= 1e-12
+        assert rep.note == note
