@@ -14,9 +14,10 @@ one-dimensional.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -276,7 +277,8 @@ class CheckDef:
 
     ``evaluator(h, models, **params)`` returns the candidate sides
     [(lhs, rhs, note), ...] of lhs <= rhs as ``Approx`` values, computed
-    through the entropy backend ``h``.  A check runs on grids (differential
+    through the entropy backend ``h``.  A parameter left out of ``params``
+    takes its value in ``defaults``.  A check runs on grids (differential
     entropy) and on cyclic groups (Shannon entropy) unless it is false for
     one of them.
     """
@@ -288,14 +290,16 @@ class CheckDef:
     variants: tuple[dict, ...] = (dict(),)
     grid: bool = True
     group: bool = True
+    defaults: dict = field(default_factory=dict)
 
     def arity_for(self, params: dict) -> int:
         if self.id == "plunnecke_ruzsa":
-            return 1 + params.get("n", 1)
+            return 1 + {**self.defaults, **params}["n"]
         return self.arity
 
     def evaluate(self, h: Callable, models: Sequence, params: dict):
         """The binding side (lhs, rhs, note): least rhs - lhs, the first on a tie."""
+        params = {**self.defaults, **params}
         need = self.arity_for(params)
         if len(models) != need:
             raise ValueError(f"check '{self.id}' needs {need} inputs, got {len(models)}")
@@ -305,6 +309,7 @@ class CheckDef:
     def report(self, check_id: str, h: Callable, models: Sequence, params: dict,
                extra_err: float, inputs: tuple) -> InequalityReport:
         """The binding side as a report; extra_err widens its error band."""
+        params = {**self.defaults, **params}
         return _side_report(check_id, *self.evaluate(h, models, params), extra_err,
                             params=params, inputs=inputs)
 
@@ -342,14 +347,15 @@ REGISTRY: tuple[CheckDef, ...] = (
     CheckDef("sum_difference_mi",
              "a I(X+Y;X) + (1-a) I(X+Y;Y) <= (1+a) I(X-Y;X) + (2-a) I(X-Y;Y)",
              2, _sum_difference_mi,
-             tuple({"alpha": a} for a in (0.0, 0.25, 0.5, 0.75, 1.0))),
+             tuple({"alpha": a} for a in (0.0, 0.25, 0.5, 0.75, 1.0)),
+             defaults={"alpha": 0.5}),
     CheckDef("plunnecke_ruzsa", "h(X + Y1 + ... + Yn) <= h(X) + sum_i [h(X+Yi) - h(X)]",
-             2, _plunnecke_ruzsa, tuple({"n": n} for n in (1, 2, 3, 4))),
+             2, _plunnecke_ruzsa, tuple({"n": n} for n in (1, 2, 3, 4)), defaults={"n": 2}),
     CheckDef("four_variable", "h(X+Y+Z+W) + h(Y) + h(Z) <= h(X+Y) + h(Y+Z) + h(Z+W)",
              4, _four_variable),
     CheckDef("iterated_sum",
              "h(S0+...+Sn) <= (2n+1) h(X+Y) - n h(X) - n h(Y) for i.i.d. sums Si = Xi+Yi",
-             2, _iterated_sum, tuple({"n": n} for n in (1, 2, 3))),
+             2, _iterated_sum, tuple({"n": n} for n in (1, 2, 3)), defaults={"n": 2}),
     # the entropy power inequality has no analog on a finite group
     CheckDef("epi_doubling",
              "sigma >= sqrt(2) and delta >= sqrt(2): entropy gain of an i.i.d. sum",
@@ -433,7 +439,7 @@ def sum_dominant_gap(scale: float = 3.0, ctx: GridContext | None = None) -> Appr
 def inverse_theorem_check(
     m: DensityModel,
     ctx: GridContext | None = None,
-    identity_tol: float = 1e-9,
+    extra_err: float = 0.0,
 ) -> list[InequalityReport]:
     """Bundle of maximum-entropy-gap bounds for one law.
 
@@ -442,7 +448,7 @@ def inverse_theorem_check(
     delta, the reverse bounds sigma, delta <= sqrt(2) exp(D), the
     standardized-sum contraction bound, and the Pinsker bound.  The
     Poincare-dependent reports are marked skipped when no constant is
-    available.
+    available.  extra_err widens every error band, as in ``run_check``.
     """
     ctx = ctx or GridContext()
     d_plus, d_minus = _deltas(ctx.entropy, m)
@@ -452,14 +458,14 @@ def inverse_theorem_check(
     l1 = grids.l1_distance(g, phi)
     var = g.moments.variance
     echo = (m.to_dict(),)
+    side = functools.partial(_side_report, extra_err=extra_err, inputs=echo)
     half_ln2 = Approx(0.5 * LN2)
     reports = [
-        _side_report("inverse_epi_sigma", half_ln2, d_plus, inputs=echo),
-        _side_report("inverse_epi_delta", half_ln2, d_minus, inputs=echo),
-        _side_report("inverse_reverse_sigma", d_plus, half_ln2 + div, inputs=echo),
-        _side_report("inverse_reverse_delta", d_minus, half_ln2 + div, inputs=echo),
-        _side_report("inverse_pinsker", Approx(0.5 * l1 * l1, l1 * g.error_estimate), div,
-                     inputs=echo),
+        side("inverse_epi_sigma", half_ln2, d_plus),
+        side("inverse_epi_delta", half_ln2, d_minus),
+        side("inverse_reverse_sigma", d_plus, half_ln2 + div),
+        side("inverse_reverse_delta", d_minus, half_ln2 + div),
+        side("inverse_pinsker", Approx(0.5 * l1 * l1, l1 * g.error_estimate), div),
     ]
 
     r = poincare_constant(m)
@@ -476,12 +482,9 @@ def inverse_theorem_check(
     contraction = var / (2.0 * r + var)
     note = f"poincare={r:.6g}"
     return reports + [
-        _side_report("inverse_fgr_sigma", div, factor * (d_plus - half_ln2),
-                     note, inputs=echo),
-        _side_report("inverse_fgr_delta", div, factor * (2.0 * d_minus - half_ln2),
-                     note, inputs=echo),
-        _side_report("inverse_contraction", contraction * div, d_plus - half_ln2,
-                     note, inputs=echo),
+        side("inverse_fgr_sigma", div, factor * (d_plus - half_ln2), note),
+        side("inverse_fgr_delta", div, factor * (2.0 * d_minus - half_ln2), note),
+        side("inverse_contraction", contraction * div, d_plus - half_ln2, note),
     ]
 
 

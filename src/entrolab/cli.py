@@ -3,6 +3,11 @@
 Subcommands: check (run the configured suite), entropy (evaluate one
 signed-sum expression), bsg (conditional-copies scenarios), discrete
 (exact group checks), inverse (maximum-entropy-gap bundle over the corpus).
+check, discrete and inverse are suite runs that differ only in their
+config: discrete selects the exact group checks, and inverse the
+``inverse`` family alone, over the corpus of its config (seed 0 when none
+is given).  Flags given on the command line take the place of the config's
+fields.
 
 Exit status: 0 when no check is violated, 1 when at least one is,
 2 on configuration or usage errors.  A suite report (check, discrete,
@@ -17,18 +22,17 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, fields, replace
 
 from . import __version__
-from .checks import GridContext, inverse_theorem_check
+from .checks import GridContext
 from .discrete import DISCRETE_REGISTRY_ORDER
-from .distributions import DensityModel, Exponential, Gamma, Gaussian, Laplace, ModelError, Uniform
+from .distributions import KINDS, DensityModel, ModelError, make_model
 from .gaussians import run_bsg_scenario, run_weak_bsg_scenario
 from .grids import GridError
-from .report import InequalityReport
 from .suite import (
     ConfigError,
     SuiteConfig,
-    SuiteReport,
     config_from_dict,
     grid_count_field,
     load_config,
@@ -58,14 +62,6 @@ class ExpressionError(ValueError):
 # every literal denotes a fresh independent variable, so "x - x" style
 # repeated-variable expressions are inexpressible by construction
 
-_BUILDERS = {
-    "gaussian": (2, lambda a: Gaussian(a[0], a[1])),
-    "uniform": (2, lambda a: Uniform(a[0], a[1])),
-    "exponential": (1, lambda a: Exponential(a[0])),
-    "laplace": (2, lambda a: Laplace(a[0], a[1])),
-    "gamma": (2, lambda a: Gamma(a[0], a[1])),
-}
-
 
 def parse_expression(text: str) -> list[tuple[int, DensityModel]]:
     pos = 0
@@ -93,19 +89,20 @@ def parse_expression(text: str) -> list[tuple[int, DensityModel]]:
         while pos < n and (text[pos].isalpha() or text[pos] == "_"):
             pos += 1
         name = text[start:pos].lower()
-        if name not in _BUILDERS:
+        if name not in KINDS:
             raise ExpressionError(f"unknown distribution {name!r}", start)
-        n_args, build = _BUILDERS[name]
+        # the arguments are the kind's required parameters, in order
+        names = [f.name for f in fields(KINDS[name]) if f.default is MISSING]
         skip_ws()
         if pos >= n or text[pos] != "(":
             raise ExpressionError("expected '('", pos)
         pos += 1
         args = []
-        for i in range(n_args):
+        for i in range(len(names)):
             skip_ws()
             args.append(parse_number())
             skip_ws()
-            if i < n_args - 1:
+            if i < len(names) - 1:
                 if pos >= n or text[pos] != ",":
                     raise ExpressionError("expected ','", pos)
                 pos += 1
@@ -114,7 +111,7 @@ def parse_expression(text: str) -> list[tuple[int, DensityModel]]:
             raise ExpressionError("expected ')'", pos)
         pos += 1
         try:
-            return build(args)
+            return make_model({"kind": name, **dict(zip(names, args))})
         except ModelError as e:
             raise ExpressionError(str(e), start) from None
 
@@ -155,60 +152,37 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_suite(config)
-    _emit_suite(report, config, args)
-    return _suite_exit(report)
-
-
-def _suite_exit(report: SuiteReport) -> int:
-    """Exit status of a suite report; a report with nothing but skipped entries is an error."""
-    counts = report.summary()
-    if report.reports and counts["skipped"] == len(report.reports):
-        print("error: every entry was skipped", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_VIOLATED if counts["violated"] else EXIT_OK
+    return _run(_apply_overrides(load_config(args.config), args), args)
 
 
 def _apply_overrides(config: SuiteConfig, args) -> SuiteConfig:
-    raw = {
-        "seed": args.seed if args.seed is not None else config.seed,
-        "numerics": {
-            "grid_count": args.grid_count if args.grid_count is not None
-            else config.grid_count,
-            "window_sigmas": args.window_sigmas if args.window_sigmas is not None
-            else config.window_sigmas,
-            "tolerances": config.tolerances,
-        },
-        "corpus": config.corpus,
-        "corpus_size": config.corpus_size,
-        "checks": config.checks,
-        "trials": config.trials,
-        "discrete": {
-            "group_order": config.discrete_group_order,
-            "trials": config.discrete_trials,
-        },
-        "output": {
-            "path": args.out or config.output_path,
-            "format": args.format or config.output_format,
-        },
-        "workers": args.workers if args.workers is not None else config.workers,
+    """The config with each command-line flag that was given in place of its field."""
+    raw = config.echo() | {
+        "output": {"path": config.output_path, "format": config.output_format},
+        "workers": config.workers,
     }
+    for section, key, flag in ((raw, "seed", "seed"),
+                               (raw["numerics"], "grid_count", "grid_count"),
+                               (raw["numerics"], "window_sigmas", "window_sigmas"),
+                               (raw["output"], "path", "out"),
+                               (raw["output"], "format", "format"),
+                               (raw, "workers", "workers")):
+        if getattr(args, flag, None) is not None:
+            section[key] = getattr(args, flag)
     return config_from_dict(raw)
 
 
-def _emit_suite(report: SuiteReport, config: SuiteConfig, args) -> None:
-    fmt = config.output_format
+def _run(config: SuiteConfig, args) -> int:
+    """Run the suite, write its report and return the exit status.
+
+    A report with nothing but skipped entries is an error.
+    """
+    report = run_suite(config)
     if config.output_path:
-        write_report(report, config.output_path, fmt)
+        write_report(report, config.output_path, config.output_format)
         print(f"wrote {config.output_path}")
     else:
-        sys.stdout.write(serialize_report(report, fmt))
+        sys.stdout.write(serialize_report(report, config.output_format))
     counts = report.summary()
     print(f"summary: {counts['holds']} holds, {counts['violated']} violated, "
           f"{counts['inconclusive']} inconclusive, {counts['skipped']} skipped",
@@ -217,6 +191,10 @@ def _emit_suite(report: SuiteReport, config: SuiteConfig, args) -> None:
         for cid, dt in sorted(report.timings.items()):
             if dt > 0.0:
                 print(f"  {cid}: {dt:.3f}s", file=sys.stderr)
+    if report.reports and counts["skipped"] == len(report.reports):
+        print("error: every entry was skipped", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_VIOLATED if counts["violated"] else EXIT_OK
 
 
 def _cmd_bsg(args) -> int:
@@ -267,48 +245,18 @@ def _cmd_bsg(args) -> int:
 
 
 def _cmd_discrete(args) -> int:
-    raw = {
+    return _run(config_from_dict({
         "seed": args.seed,
         "checks": ["covering_lemma", "functional_submodularity"]
         + [f"discrete.{c}" for c in DISCRETE_REGISTRY_ORDER],
         "discrete": {"group_order": args.group_order, "trials": args.trials},
         "output": {"path": args.out, "format": args.format or "json"},
-    }
-    try:
-        config = config_from_dict(raw)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_suite(config)
-    _emit_suite(report, config, args)
-    return _suite_exit(report)
+    }), args)
 
 
 def _cmd_inverse(args) -> int:
-    try:
-        config = load_config(args.config) if args.config else config_from_dict(
-            {"seed": args.seed if args.seed is not None else 0}
-        )
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    models = config.corpus_models()
-    ctx = GridContext(config.grid_count, config.window_sigmas)
-    reports: list[InequalityReport] = []
-    for m in models:
-        reports.extend(inverse_theorem_check(m, ctx))
-    suite = SuiteReport(config=config.echo(), reports=reports, timings={})
-    fmt = args.format or "json"
-    text = serialize_report(suite, fmt)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    counts = suite.summary()
-    print(f"summary: {counts}", file=sys.stderr)
-    return _suite_exit(suite)
+    config = load_config(args.config) if args.config else config_from_dict({"seed": 0})
+    return _run(_apply_overrides(replace(config, checks=["inverse"]), args), args)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +321,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(e.code) if e.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

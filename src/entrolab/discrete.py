@@ -254,13 +254,8 @@ def check_discrete_registry(
     """
     if check_id not in GROUP_CHECKS:
         raise KeyError(f"unknown discrete check '{check_id}'")
-    params = dict(params or {})
-    if check_id == "sum_difference_mi":
-        params.setdefault("alpha", 0.5)
-    if check_id in ("plunnecke_ruzsa", "iterated_sum"):
-        params.setdefault("n", 2)
     if len({p.group_order for p in pmfs}) > 1:
         raise ValueError("all pmfs must share one group order")
     return GROUP_CHECKS[check_id].report(
-        f"discrete.{check_id}", _group_entropy, pmfs, params, EXACT_TOL + extra_err,
+        f"discrete.{check_id}", _group_entropy, pmfs, params or {}, EXACT_TOL + extra_err,
         tuple({"group_order": p.group_order, "probs": p.probs.tolist()} for p in pmfs))

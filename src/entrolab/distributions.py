@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar
 
@@ -38,6 +38,7 @@ __all__ = [
     "Gamma",
     "Mixture",
     "Gridded",
+    "KINDS",
     "make_model",
     "sample",
 ]
@@ -539,14 +540,9 @@ def _check_scale(a: float) -> None:
         raise ModelError("affine scale must be finite and nonzero")
 
 
-_KINDS = {
-    "gaussian": lambda d: Gaussian(d["mean"], d["variance"]),
-    "uniform": lambda d: Uniform(d["lower"], d["upper"]),
-    "exponential": lambda d: Exponential(d["rate"], d.get("shift", 0.0),
-                                         d.get("reflected", False)),
-    "laplace": lambda d: Laplace(d["location"], d["scale"]),
-    "gamma": lambda d: Gamma(d["shape"], d["scale"], d.get("shift", 0.0),
-                             d.get("reflected", False)),
+# the catalog kinds a spec can name, besides "mixture"
+KINDS: dict[str, type[DensityModel]] = {
+    cls.__name__.lower(): cls for cls in (Gaussian, Uniform, Exponential, Laplace, Gamma)
 }
 
 
@@ -558,9 +554,10 @@ def make_model(spec: dict) -> DensityModel:
     if kind == "mixture":
         comps = tuple(make_model(c) for c in spec["components"])
         return Mixture(tuple(spec["weights"]), comps)
-    if kind in _KINDS:
+    if kind in KINDS:
         try:
-            return _KINDS[kind](spec)
+            return KINDS[kind](**{f.name: spec[f.name] for f in fields(KINDS[kind])
+                                  if f.default is MISSING or f.name in spec})
         except KeyError as e:
             raise ModelError(f"missing parameter {e} for kind '{kind}'") from e
     raise ModelError(f"unknown model kind '{kind}'")

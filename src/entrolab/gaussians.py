@@ -39,6 +39,14 @@ class DegenerateSubsetError(ValueError):
     """Entropy query on a singular covariance block (entropy would be -inf)."""
 
 
+def _nonsingular_eigs(mat: np.ndarray, what: str) -> np.ndarray:
+    """Ascending eigenvalues of a covariance block; raises when the block is singular."""
+    eigs = np.linalg.eigvalsh(mat)
+    if eigs[0] <= _SINGULAR_RTOL * max(1.0, eigs[-1]):
+        raise DegenerateSubsetError(f"degenerate subset: {what} is singular")
+    return eigs
+
+
 @dataclass(frozen=True)
 class GaussianVector:
     """Finite-dimensional Gaussian law with named coordinates."""
@@ -90,11 +98,16 @@ class GaussianVector:
 
     @staticmethod
     def _logdet_pd(mat: np.ndarray, what: str) -> float:
-        eigs = np.linalg.eigvalsh(mat)
-        scale = float(max(1.0, eigs[-1]))
-        if eigs[0] <= _SINGULAR_RTOL * scale:
-            raise DegenerateSubsetError(f"degenerate subset: {what} is singular")
-        return float(np.sum(np.log(eigs)))
+        return float(np.sum(np.log(_nonsingular_eigs(mat, what))))
+
+    def _bordered(self, name: str, mean: float, row: np.ndarray, var: float) -> "GaussianVector":
+        """This vector with one more coordinate: its mean, covariance row and variance."""
+        k = len(self.names)
+        cov = np.empty((k + 1, k + 1))
+        cov[:k, :k] = self.cov
+        cov[:k, k] = cov[k, :k] = row
+        cov[k, k] = var
+        return GaussianVector(self.names + (name,), np.append(self.mean, mean), cov)
 
     # -- entropy queries --------------------------------------------------
 
@@ -113,9 +126,7 @@ class GaussianVector:
         """
         ia, ib = self._idx(a), self._idx(b)
         sbb = self._block(ib, ib)
-        eigs = np.linalg.eigvalsh(sbb)
-        if eigs[0] <= _SINGULAR_RTOL * max(1.0, eigs[-1]):
-            raise DegenerateSubsetError("degenerate subset: conditioning block is singular")
+        _nonsingular_eigs(sbb, "conditioning block")
         sab = self._block(ia, ib)
         schur = self._block(ia, ia) - sab @ np.linalg.solve(sbb, sab.T)
         schur = 0.5 * (schur + schur.T)
@@ -144,14 +155,7 @@ class GaussianVector:
         for lb, w in coeffs.items():
             c[self.names.index(lb)] = w
         row = self.cov @ c
-        var = float(c @ row)
-        new_cov = np.zeros((len(self.names) + 1,) * 2)
-        new_cov[:-1, :-1] = self.cov
-        new_cov[:-1, -1] = row
-        new_cov[-1, :-1] = row
-        new_cov[-1, -1] = var
-        new_mean = np.append(self.mean, float(c @ self.mean))
-        return GaussianVector(self.names + (name,), new_mean, new_cov)
+        return self._bordered(name, float(c @ self.mean), row, float(c @ row))
 
     def extend_markov(
         self,
@@ -181,11 +185,7 @@ class GaussianVector:
                 ic = out._idx(cond)
                 ig = out._idx(t_given)
                 sgg = out._block(ig, ig)
-                eigs = np.linalg.eigvalsh(sgg)
-                if eigs[0] <= _SINGULAR_RTOL * max(1.0, eigs[-1]):
-                    raise DegenerateSubsetError(
-                        f"template conditioning block {t_given} is singular"
-                    )
+                _nonsingular_eigs(sgg, f"template conditioning block {t_given}")
                 stg = out._block(it, ig)  # 1 x g
                 beta = np.linalg.solve(sgg, stg.ravel())
                 resid = var_t - float(beta @ stg.ravel())
@@ -197,14 +197,7 @@ class GaussianVector:
                 new_mean_val = mean_t
                 row = np.zeros(len(out.names))
                 var_new = var_t
-            k = len(out.names)
-            new_cov = np.zeros((k + 1, k + 1))
-            new_cov[:k, :k] = out.cov
-            new_cov[:k, k] = row
-            new_cov[k, :k] = row
-            new_cov[k, k] = var_new
-            out = GaussianVector(out.names + (new_label,),
-                                 np.append(out.mean, new_mean_val), new_cov)
+            out = out._bordered(new_label, new_mean_val, row, var_new)
         return out
 
 

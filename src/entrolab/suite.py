@@ -1,10 +1,13 @@
 """Suite configuration, orchestration and machine-readable reporting.
 
-A suite run draws a seeded corpus, executes the selected checks (optionally
-fanned out over a process pool), and assembles a deterministic report:
-rerunning with the same config and seed reproduces the serialized report
-byte for byte.  Per-check wall-clock timings are collected for the console
-summary but kept out of the serialized report to preserve that guarantee.
+A suite run draws a seeded corpus, executes the selected check families
+(optionally fanned out over a process pool), and assembles a deterministic
+report: rerunning with the same config and seed reproduces the serialized
+report byte for byte.  A family is a grid check of the registry, an exact
+group check, or ``inverse``, the inverse-theorem bundle run once per corpus
+law; its entries follow the order of the config's ``checks``.  Per-family
+wall-clock timings are collected for the console summary but kept out of
+the serialized report to preserve that guarantee.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .checks import CHECKS, GridContext, default_corpus, run_check
+from .checks import CHECKS, GridContext, default_corpus, inverse_theorem_check, run_check
 from .discrete import (
     DISCRETE_CHECK_IDS,
     MAX_ORDER,
@@ -42,8 +45,9 @@ __all__ = ["ConfigError", "SuiteConfig", "SuiteReport", "load_config", "run_suit
 SCHEMA_VERSION = 1
 
 _DISCRETE_PREFIXED = tuple(f"discrete.{cid}" for cid in DISCRETE_CHECK_IDS)
+# appended last: a discrete job's draws are salted by its id's index here
 VALID_CHECK_IDS = tuple(sorted(CHECKS)) + ("covering_lemma", "functional_submodularity") \
-    + _DISCRETE_PREFIXED
+    + _DISCRETE_PREFIXED + ("inverse",)
 
 
 class ConfigError(ValueError):
@@ -266,19 +270,18 @@ def _trial_rng(seed: int, family_index: int, variant_index: int, salt: int = 0):
     )
 
 
-def _timed(job, args) -> tuple[list[InequalityReport], float]:
+def _timed(job, args, ctx) -> tuple[list[InequalityReport], float]:
     """Run one job and return its reports with its elapsed seconds."""
     t0 = time.perf_counter()
-    reports = job(args)
+    reports = job(args, ctx)
     return reports, time.perf_counter() - t0
 
 
-def _continuous_job(args) -> list[InequalityReport]:
-    config, check_id, variant_index, models, ctx = args
+def _continuous_job(args, ctx) -> list[InequalityReport]:
+    config, check_id, variant_index, models = args
     check = CHECKS[check_id]
     params = check.variants[variant_index]
-    if ctx is None:
-        ctx = GridContext(config.grid_count, config.window_sigmas)
+    ctx = ctx or GridContext(config.grid_count, config.window_sigmas)
     extra = float(config.tolerances.get(check_id, 0.0))
     arity = check.arity_for(params)
     n_trials = config.trials or max(1, len(models) // (arity * len(check.variants)))
@@ -298,7 +301,14 @@ def _continuous_job(args) -> list[InequalityReport]:
     return out
 
 
-def _discrete_job(args) -> list[InequalityReport]:
+def _inverse_job(args, ctx) -> list[InequalityReport]:
+    config, m = args
+    ctx = ctx or GridContext(config.grid_count, config.window_sigmas)
+    return inverse_theorem_check(m, ctx, float(config.tolerances.get("inverse", 0.0)))
+
+
+def _discrete_job(args, ctx) -> list[InequalityReport]:
+    """Trials of one exact group check; ctx is unused, as groups need no grid."""
     config, check_id = args
     rng = _trial_rng(config.seed, 1000, 0, salt=VALID_CHECK_IDS.index(check_id))
     order = config.discrete_group_order
@@ -341,33 +351,30 @@ def _random_submodularity(rng, order: int, extra_err: float) -> InequalityReport
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute every selected check and assemble the deterministic report."""
-    selected = config.selected_checks()
     models = config.corpus_models()
-
-    continuous_jobs = []
-    discrete_jobs = []
-    for cid in selected:
+    jobs = []
+    for cid in config.selected_checks():
         if cid in CHECKS:
-            for vi in range(len(CHECKS[cid].variants)):
-                continuous_jobs.append((cid, vi))
+            jobs += [(cid, _continuous_job, (config, cid, vi, models))
+                     for vi in range(len(CHECKS[cid].variants))]
+        elif cid == "inverse":
+            jobs += [(cid, _inverse_job, (config, m)) for m in models]
         else:
-            discrete_jobs.append(cid)
+            jobs.append((cid, _discrete_job, (config, cid)))
+    ids, fns, fargs = zip(*jobs)
 
     workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
-    pooled = workers > 1 and (len(continuous_jobs) + len(discrete_jobs)) > 1
+    pooled = workers > 1 and len(jobs) > 1
     # the serial path shares one GridContext; each pool job builds its own
     ctx = None if pooled else GridContext(config.grid_count, config.window_sigmas)
-    jobs = [(cid, _continuous_job, (config, cid, vi, models, ctx))
-            for cid, vi in continuous_jobs]
-    jobs += [(cid, _discrete_job, (config, cid)) for cid in discrete_jobs]
-    ids, fns, fargs = zip(*jobs)
+    ctxs = [ctx] * len(jobs)
 
     t0 = time.perf_counter()
     if pooled:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_timed, fns, fargs))
+            results = list(pool.map(_timed, fns, fargs, ctxs))
     else:
-        results = list(map(_timed, fns, fargs))
+        results = list(map(_timed, fns, fargs, ctxs))
     reports: list[InequalityReport] = []
     timings: dict[str, float] = {}
     for cid, (res, dt) in zip(ids, results):

@@ -351,3 +351,60 @@ class TestInverseCommand:
         ids = {c["check_id"] for c in data["checks"]}
         assert "inverse_pinsker" in ids and "inverse_fgr_sigma" in ids
         assert data["summary"]["violated"] == 0
+
+
+class TestInverseSuiteFamily:
+    """`entrolab inverse` is a suite run of the `inverse` family."""
+
+    def inverse_config(self, tmp_path, **overrides):
+        return write_config(tmp_path, corpus_size=4, workers=1, **overrides)
+
+    def test_config_output_section_is_honoured(self, tmp_path, capsys):
+        out = tmp_path / "inverse.csv"
+        cfg = self.inverse_config(tmp_path, output={"path": str(out), "format": "csv"})
+        assert main(["inverse", "--config", cfg]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].split(",")[:4] == ["check_id", "kind", "params", "lhs"]
+        assert len(lines) == 1 + 8 * 4
+        assert all(line.startswith("inverse_") for line in lines[1:])
+        assert not (tmp_path / "report.json").exists()
+
+    def test_seed_flag_overrides_config_and_echo_names_the_family(self, tmp_path, capsys):
+        cfg = self.inverse_config(tmp_path)
+        assert main(["inverse", "--config", cfg, "--seed", "3"]) == 0
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["config"]["seed"] == 3
+        assert data["config"]["checks"] == ["inverse"]
+        laws = [m.to_dict() for m in config_from_dict({"seed": 3, "corpus_size": 4})
+                .corpus_models()]
+        assert [c["inputs"][0] for c in data["checks"][::8]] == json.loads(json.dumps(laws))
+
+    def test_tolerance_widens_every_inverse_err(self):
+        raw = {"seed": 5, "workers": 1, "corpus_size": 4, "checks": ["inverse"]}
+        plain = run_suite(config_from_dict(raw)).reports
+        wide = run_suite(config_from_dict(
+            {**raw, "numerics": {"tolerances": {"inverse": 0.25}}})).reports
+        assert len(plain) == len(wide) == 8 * 4
+        for a, b in zip(plain, wide):
+            assert (a.check_id, a.lhs, a.rhs) == (b.check_id, b.lhs, b.rhs)
+            if a.verdict != "skipped":
+                assert b.err == a.err + 0.25
+
+    def test_check_with_inverse_family_matches_inverse_command(self, tmp_path, capsys):
+        cfg = self.inverse_config(tmp_path, checks=["inverse"])
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "check.json")]) == 0
+        assert main(["inverse", "--config", cfg, "--out", str(tmp_path / "inv.json")]) == 0
+        check = json.loads((tmp_path / "check.json").read_text())
+        inverse = json.loads((tmp_path / "inv.json").read_text())
+        assert check["checks"] == inverse["checks"]
+        assert len(check["checks"]) == 8 * 4
+
+    def test_pool_report_equals_serial_report(self, tmp_path, capsys):
+        reports = []
+        for workers in (1, 2):
+            out = tmp_path / f"inv{workers}.json"
+            path = write_config(tmp_path, name=f"cfg{workers}.json", corpus_size=4,
+                                workers=workers)
+            assert main(["inverse", "--config", path, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]

@@ -227,6 +227,13 @@ class TestDiscreteRegistry:
                 rep = check_discrete_registry(cid, pool[:k], params)
                 assert rep.verdict != "violated", (cid, params, rep.slack)
 
+    @pytest.mark.parametrize("cid", DISCRETE_REGISTRY_ORDER)
+    def test_default_params_match_default_arity(self, cid):
+        # discrete_arity and check_discrete_registry read the same default parameters
+        rng = np.random.default_rng(DISCRETE_REGISTRY_ORDER.index(cid))
+        pmfs = [random_pmf(rng, 4) for _ in range(discrete_arity(cid))]
+        assert check_discrete_registry(cid, pmfs).verdict != "violated"
+
     def test_unknown_check_rejected(self):
         with pytest.raises(KeyError):
             check_discrete_registry("frobnicate", [])
