@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+# leaves off a sum's step whose grids span fewer cells enter by characteristic function
+NARROW = 16
 DEGENERATE = "degenerate denominator"
 
 
@@ -76,8 +78,9 @@ class GridContext:
     entropy of a term list depends only on the multiset of (model, sign)
     pairs.  A point-symmetric law (``DensityModel.symmetric``) has its sign
     dropped: -X is a translate of X, so the sum changes by a translate and
-    its entropy not at all, and h(X - Y) and h(X + Y) share one entry.  Keys
-    and evaluation order are content-based, which makes every result
+    its entropy not at all, and h(X - Y) and h(X + Y) share one entry.  A
+    sum and its negation (its mirror image) share one entry too.  Keys and
+    evaluation order are content-based, which makes every result
     independent of call order, cache state and process layout.
     """
 
@@ -94,33 +97,53 @@ class GridContext:
         return self._grids[key]
 
     def sum_grid(self, terms: Sequence[tuple[int, DensityModel]]) -> grids.GridDensity:
-        """Grid of the signed independent sum: each run of equal (law, sign)
-        leaves as one convolution power, the runs folded in content order."""
-        ordered = sorted(terms, key=_term_key)
-        out = None
-        for (_, sign), run in itertools.groupby(ordered, key=_term_key):
+        """Grid of the signed independent sum at the step of its coarsest leaf grid.
+
+        Each run of k equal (law, sign) leaves enters as k copies of its own
+        grid when that is on the step.  Otherwise it is sampled at the step
+        when its law has at most one finite support end and its grid spans
+        at least NARROW cells of the step (and always when it has no
+        characteristic function), and enters through that function if not.
+        """
+        runs = []
+        for _, run in itertools.groupby(sorted(terms, key=_term_key), key=_term_key):
             run = list(run)
-            g = self.grid(run[0][1])
-            part = grids.convolve_power(g if sign > 0 else grids.reflect(g), len(run))
-            out = part if out is None else grids.convolve(out, part)
-        return out
+            runs.append((*run[0], len(run)))
+        leaf_grids = [self.grid(m) for _, m, _ in runs]
+        step = max(g.spec.step for g in leaf_grids)
+        parts, leaves = [], []
+        for (sign, m, k), g in zip(runs, leaf_grids):
+            if not math.isclose(g.spec.step, step, rel_tol=1e-9):
+                if m.has_characteristic and (g.spec.width < NARROW * step
+                                             or all(map(math.isfinite, m.support()))):
+                    leaves.append((m if sign > 0 else m.affine(-1.0, 0.0), k))
+                    continue
+                g = grids.resample(m, step, self.window_sigmas)
+            parts.append((g if sign > 0 else grids.reflect(g), k))
+        return grids.convolve(parts, leaves)
 
     def entropy(self, *terms: tuple[int, DensityModel]) -> Approx:
         """(value, err) of the signed independent sum of the given terms.
 
-        The sum evaluated is the given one with every symmetric law's sign
-        set to +1; its entropy is the same.
+        The sum evaluated has every symmetric law's sign set to +1, and is
+        negated as a whole when that gives the smaller key; its entropy is
+        the same.
         """
-        terms = tuple((1 if m.symmetric else sign, m) for sign, m in terms)
-        key = tuple(sorted(_term_key(t) for t in terms))
+        terms = [(1 if m.symmetric else sign, m) for sign, m in terms]
+        mirror = [(sign if m.symmetric else -sign, m) for sign, m in terms]
+        # on equal keys (a sum that is its own mirror image) min keeps the first
+        key, terms = min(((tuple(sorted(map(_term_key, ts))), ts) for ts in (terms, mirror)),
+                         key=lambda kt: kt[0])
         if key not in self._entropies:
             self._entropies[key] = Approx(*grids.entropy(self.sum_grid(terms)))
         return self._entropies[key]
 
 
 def _term_key(term: tuple[int, DensityModel]) -> tuple[str, int]:
+    # a plus sign sorts first, so of a sum and its mirror image the one
+    # evaluated leads with plus signs: X + X' stays X + X'
     sign, m = term
-    return m.content_key, sign
+    return m.content_key, -sign
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,13 @@ class DensityModel:
     def bounded_density(self) -> bool:
         return True
 
+    # False when ``characteristic`` is not available (gridded densities)
+    has_characteristic: ClassVar[bool] = True
+
+    def characteristic(self, t: np.ndarray) -> tuple[float, np.ndarray]:
+        """(center, phi) with E[exp(itX)] = exp(it * center) * phi(t) at each t."""
+        raise NotImplementedError
+
     def affine(self, a: float, b: float) -> "DensityModel":
         """Law of ``a*X + b``; entropy shifts by log|a|."""
         raise NotImplementedError
@@ -147,6 +154,9 @@ class Gaussian(DensityModel):
         half = -_special.ndtri(eps) * math.sqrt(self.variance)
         return (self.mean - half, self.mean + half)
 
+    def characteristic(self, t):
+        return self.mean, np.exp(-0.5 * self.variance * np.square(t))
+
     def affine(self, a, b):
         _check_scale(a)
         return Gaussian(a * self.mean + b, a * a * self.variance)
@@ -195,6 +205,9 @@ class Uniform(DensityModel):
 
     def window(self, eps: float = TAIL_EPS):
         return (self.lower, self.upper)
+
+    def characteristic(self, t):
+        return 0.5 * (self.lower + self.upper), np.sinc(t * (0.5 * self.width / math.pi))
 
     def affine(self, a, b):
         _check_scale(a)
@@ -252,6 +265,9 @@ class Exponential(DensityModel):
             return (self.shift - reach, self.shift)
         return (self.shift, self.shift + reach)
 
+    def characteristic(self, t):
+        return self.shift, self.rate / (self.rate - 1j * self._sign() * t)
+
     def affine(self, a, b):
         _check_scale(a)
         return Exponential(
@@ -302,6 +318,9 @@ class Laplace(DensityModel):
     def window(self, eps: float = TAIL_EPS):
         reach = self.scale * math.log(1.0 / (2.0 * eps))
         return (self.location - reach, self.location + reach)
+
+    def characteristic(self, t):
+        return self.location, 1.0 / (1.0 + np.square(self.scale * t))
 
     def affine(self, a, b):
         _check_scale(a)
@@ -366,6 +385,9 @@ class Gamma(DensityModel):
         if self.reflected:
             return (self.shift - reach, self.shift)
         return (self.shift, self.shift + reach)
+
+    def characteristic(self, t):
+        return self.shift, (1.0 - 1j * self._sign() * self.scale * t) ** -self.shape
 
     def bounded_density(self) -> bool:
         # shape < 1 puts an integrable singularity at the support edge
@@ -442,6 +464,16 @@ class Mixture(DensityModel):
     def bounded_density(self) -> bool:
         return all(c.bounded_density() for c in self.components)
 
+    @property
+    def has_characteristic(self) -> bool:
+        return all(c.has_characteristic for c in self.components)
+
+    def characteristic(self, t):
+        parts = [c.characteristic(t) for c in self.components]
+        center = sum(w * c for w, (c, _) in zip(self.weights, parts))
+        return center, sum(w * np.exp(1j * (c - center) * t) * phi
+                           for w, (c, phi) in zip(self.weights, parts))
+
     def affine(self, a, b):
         _check_scale(a)
         return Mixture(self.weights, tuple(c.affine(a, b) for c in self.components))
@@ -469,6 +501,8 @@ class Gridded(DensityModel):
     """A density given only through its grid representation."""
 
     grid: "GridDensity"
+
+    has_characteristic = False
 
     def moments(self) -> MomentSummary:
         return self.grid.moments

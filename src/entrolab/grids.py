@@ -3,7 +3,7 @@
 Densities live on uniform cell-centered grids; all quadrature is the
 midpoint rule, so ``sum(values) * step`` is the represented mass.  Every
 grid carries a conservative entropy-error estimate (truncation and trimmed
-mass, plus a sampling term per convolution; ``entropy`` adds quadrature)
+mass, plus a sampling term per summed copy; ``entropy`` adds quadrature)
 that downstream inequality verdicts consume.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "GridDensity",
     "discretize",
     "convolve",
-    "convolve_power",
     "reflect",
     "entropy",
     "kl_divergence",
@@ -120,6 +120,36 @@ def _truncation_term(tail_mass: float) -> float:
     return tail_mass * (abs(math.log(max(tail_mass, DENSITY_FLOOR))) + 1.0)
 
 
+def _window(m: DensityModel, window_sigmas: float) -> tuple[float, float, float]:
+    """(lo, hi, tail mass) of a model's discretization window (see ``discretize``)."""
+    if not m.bounded_density():
+        raise GridError("model density is unbounded on its support; grid pipeline rejected")
+    mom = m.moments()
+    sd = math.sqrt(mom.variance)
+    sup_lo, sup_hi = m.support()
+    q_lo, q_hi = m.window()
+    lo = max(sup_lo, min(mom.mean - window_sigmas * sd, q_lo))
+    hi = min(sup_hi, max(mom.mean + window_sigmas * sd, q_hi))
+    if not (hi > lo):
+        raise GridError("degenerate discretization window")
+    tail = _tail_mass(m, lo, hi)
+    if tail > TRUNCATION_LIMIT:
+        raise GridError(
+            f"truncated mass {tail:.3g} exceeds {TRUNCATION_LIMIT}; tail too heavy for grid pipeline"
+        )
+    return lo, hi, tail
+
+
+def _tail_mass(m: DensityModel, lo: float, hi: float) -> float:
+    return float(m.cdf(np.array([lo]))[0] + (1.0 - m.cdf(np.array([hi]))[0]))
+
+
+def _sample(m: DensityModel, origin: float, step: float, count: int, tail: float) -> GridDensity:
+    """Midpoint pdf samples on ``count`` cells from ``origin``, cut by ``_live_grid``."""
+    raw = np.asarray(m.pdf(origin + (np.arange(count) + 0.5) * step), dtype=float)
+    return _live_grid(raw, origin, step, _truncation_term(tail))
+
+
 def discretize(m: DensityModel, window_sigmas: float = 12.0, count: int = 1 << 14) -> GridDensity:
     """Sample a model onto a normalized grid covering its effective support.
 
@@ -132,26 +162,21 @@ def discretize(m: DensityModel, window_sigmas: float = 12.0, count: int = 1 << 1
     """
     if count < MIN_COUNT or count & (count - 1):
         raise GridError(f"grid count must be a power of two >= {MIN_COUNT}, got {count}")
-    if not m.bounded_density():
-        raise GridError("model density is unbounded on its support; grid pipeline rejected")
-    mom = m.moments()
-    sd = math.sqrt(mom.variance)
+    lo, hi, tail = _window(m, window_sigmas)
+    return _sample(m, lo, (hi - lo) / count, count, tail)
+
+
+def resample(m: DensityModel, step: float, window_sigmas: float = 12.0) -> GridDensity:
+    """Sample a law at a given step: ``discretize``, its window tiled by whole
+    cells from its finite support end (else its lower end) so a jump is a cell edge.
+    """
+    lo, hi, tail = _window(m, window_sigmas)
+    count = math.ceil((hi - lo) / step)
+    if count > MAX_COUNT:
+        raise GridError(f"sampling at step {step:.3g} needs {count} cells; step not representable")
     sup_lo, sup_hi = m.support()
-    q_lo, q_hi = m.window()
-    lo = max(sup_lo, min(mom.mean - window_sigmas * sd, q_lo))
-    hi = min(sup_hi, max(mom.mean + window_sigmas * sd, q_hi))
-    if not (hi > lo):
-        raise GridError("degenerate discretization window")
-
-    tail = float(m.cdf(np.array([lo]))[0] + (1.0 - m.cdf(np.array([hi]))[0]))
-    if tail > TRUNCATION_LIMIT:
-        raise GridError(
-            f"truncated mass {tail:.3g} exceeds {TRUNCATION_LIMIT}; tail too heavy for grid pipeline"
-        )
-
-    step = (hi - lo) / count
-    raw = np.asarray(m.pdf(lo + (np.arange(count) + 0.5) * step), dtype=float)
-    return _live_grid(raw, lo, step, _truncation_term(tail))
+    origin = hi - count * step if math.isfinite(sup_hi) and not math.isfinite(sup_lo) else lo
+    return _sample(m, origin, step, count, tail)
 
 
 def reflect(f: GridDensity) -> GridDensity:
@@ -160,84 +185,6 @@ def reflect(f: GridDensity) -> GridDensity:
     new_spec = GridSpec(origin=-(spec.origin + spec.width), step=spec.step, count=spec.count)
     return GridDensity(spec=new_spec, values=f.values[::-1],
                        mass_defect=f.mass_defect, error_estimate=f.error_estimate)
-
-
-def resample(f: GridDensity, step: float) -> GridDensity:
-    """Re-express f on a grid with the given step (monotone cubic interpolation).
-
-    The grid starts at f's origin and spans f's width in ceil(width / step)
-    cells, rounded up to even; cells whose centers lie past f's last center
-    are zero.
-    """
-    spec = f.spec
-    count = math.ceil(spec.width / step)
-    count += count % 2
-    if count > MAX_COUNT:
-        raise GridError(
-            f"resampling to step {step:.3g} needs {count} cells; step ratio not representable"
-        )
-    new_spec = GridSpec(origin=spec.origin, step=step, count=count)
-    # new centers in units of the old step, counted from the first old center
-    t = np.arange(count, dtype=float)
-    t += 0.5
-    t *= step / spec.step
-    t -= 0.5
-    raw = _pchip(f.values, t)
-    values, defect = _normalized(np.clip(raw, 0.0, None, out=raw), step, out=raw)
-    return GridDensity(spec=new_spec, values=values, mass_defect=defect,
-                       error_estimate=f.error_estimate + _truncation_term(defect))
-
-
-def _pchip(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Monotone cubic (PCHIP) through y at nodes 0, 1, ..., n-1, evaluated at t.
-
-    ``t`` must ascend: the points inside [0, n-1] are read as one slice.
-    Node slopes are the Fritsch-Butland harmonic mean of the adjacent
-    secants, zero where they change sign or one is flat; each end takes the
-    one-sided three-point rule with Fritsch-Carlson shape limits.  These
-    are the slopes of scipy's PchipInterpolator on a uniform grid.  Each
-    cell is a Hermite cubic; points outside [0, n-1] give 0.
-    """
-    m = np.diff(y)
-    prod = m[:-1] * m[1:]
-    same_sign = prod > 0.0
-    prod *= 2.0
-    d = np.zeros_like(y)
-    # harmonic mean 2*m0*m1/(m0+m1) where both secants share a sign
-    np.divide(prod, m[:-1] + m[1:], out=d[1:-1], where=same_sign)
-    d[0], d[-1] = _end_slope(m[0], m[1]), _end_slope(m[-1], m[-2])
-
-    n = y.size
-    lo, hi = np.searchsorted(t, 0.0), np.searchsorted(t, n - 1, side="right")
-    k = np.minimum(t[lo:hi].astype(np.intp), n - 2)
-    s = t[lo:hi] - k
-    y0, a, b = y[k], d[k], d[k + 1]
-    rise = y[k + 1]
-    rise -= y0
-    # y0 + s*(a + s*(3*rise - 2*a - b + s*(a + b - 2*rise))), innermost first
-    cubic = a + b
-    cubic -= 2.0 * rise
-    cubic *= s
-    poly = 3.0 * rise
-    poly -= 2.0 * a
-    poly -= b
-    poly += cubic
-    poly *= s
-    poly += a
-    poly *= s
-    out = np.zeros(t.size)
-    np.add(y0, poly, out=out[lo:hi])
-    return out
-
-
-def _end_slope(m0: float, m1: float) -> float:
-    """End-node slope from the end secant m0 and its neighbour m1."""
-    d = (3.0 * m0 - m1) / 2.0
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +203,7 @@ def _fft_length(n: int) -> int:
 
 
 def _live_grid(raw: np.ndarray, origin: float, step: float, inherited: float) -> GridDensity:
-    """Grid of the live cells of a raw density: how discretize and both sums end.
+    """Grid of the live cells of a raw density: how every grid is made.
 
     ``raw`` holds densities on cells of the given step whose first cell
     starts at ``origin``; it is overwritten, so that no second array of its
@@ -282,75 +229,71 @@ def _live_grid(raw: np.ndarray, origin: float, step: float, inherited: float) ->
                        + _truncation_term(dropped))
 
 
-def _sampling_term(variance: float, step: float) -> float:
-    """SAMPLING_COEF * step^2 / variance; one-cell grids cap it at SAMPLING_COEF."""
-    return SAMPLING_COEF * step * step / max(variance, step * step)
+def convolve(parts: Sequence[tuple[GridDensity, int]],
+             leaves: Sequence[tuple[DensityModel, int]] = ()) -> GridDensity:
+    """Density of the sum of k copies of each (grid, k) part and (model, k) leaf.
 
-
-def convolve(f: GridDensity, g: GridDensity) -> GridDensity:
-    """Density of X + Y for independent X ~ f, Y ~ g.
-
-    Zero-padded FFT convolution of the operands' cells, at the smallest
-    5-smooth transform length; grids with unequal steps are first brought
-    to the coarser step.  The result is cut to its live cells by
-    ``_live_grid``.  Error estimates add, plus three terms of
-    this step: the FFT mass defect, the trimmed mass, and SAMPLING_COEF *
-    step^2 / variance for the variance the midpoint grid loses to the
-    discrete convolution (Sheppard's correction), which the Richardson
-    estimate cannot see on densities with jumps.  Operands are ordered by content
-    before the transform so the operation commutes exactly, not just
-    within rounding.
+    The spectrum is the product of ``rfft(grid * step) ** k`` over the parts
+    (all on one step) and ``phi(t) ** k`` over the leaves' characteristic
+    functions, at t = -2 pi j / (M step), M the smallest 5-smooth length
+    that holds the support; one irfft and ``_live_grid`` finish the sum on
+    the parts' cell centers.  The whole cells of the leaves' summed centers
+    rotate the output; only the rest is a phase factor.  err adds k times
+    each part's, k times the tail term of each leaf's window (the mass that
+    can wrap around the period), and SAMPLING_COEF * step^2 / var per added
+    copy, var the partial sum's variance: what a discrete convolution of
+    midpoint grids loses (Sheppard's correction), unseen by the Richardson
+    estimate on densities with jumps.  Parts are ordered by content first;
+    one part of one copy and no leaves is returned as it is.
     """
-    # variances add under convolution; resampling keeps the law, so the
-    # operands' own grids give it
-    variance = f.moments.variance + g.moments.variance
-    if not math.isclose(f.spec.step, g.spec.step, rel_tol=1e-9):
-        target = max(f.spec.step, g.spec.step)
-        if f.spec.step < target:
-            f = resample(f, target)
-        if g.spec.step < target:
-            g = resample(g, target)
-    kf, kg = (f.spec.count, f.spec.origin), (g.spec.count, g.spec.origin)
-    if kg < kf or (kg == kf and g.values.tobytes() < f.values.tobytes()):
-        f, g = g, f
-    step = f.spec.step
-    n = f.spec.count + g.spec.count - 1
-    m = _fft_length(n)
-    spec = np.fft.rfft(f.values, m)
-    spec *= np.fft.rfft(g.values, m)
-    dens = np.fft.irfft(spec, m)[:n]
-    dens *= step
-    return _live_grid(dens, f.spec.origin + g.spec.origin + step / 2.0, step,
-                      f.error_estimate + g.error_estimate + _sampling_term(variance, step))
-
-
-def convolve_power(g: GridDensity, k: int) -> GridDensity:
-    """Density of the sum of k independent copies of X ~ g, as one spectrum power.
-
-    The k-fold convolution is ``irfft(rfft(g * step) ** k) / step`` at the
-    smallest 5-smooth length that holds its support, finished by
-    ``_live_grid`` as in ``convolve``.  The error estimate is k
-    times g's, plus one FFT mass defect and one trimmed mass, plus the
-    sampling terms the k - 1 convolutions of a fold would charge:
-    SAMPLING_COEF * step^2 / (j * variance) for j = 2..k.  k = 1 returns g
-    itself.
-    """
-    if k < 1:
-        raise GridError(f"convolution power needs k >= 1, got {k}")
-    if k == 1:
-        return g
-    step = g.spec.step
-    n = k * (g.spec.count - 1) + 1
-    m = _fft_length(n)
-    spec = np.fft.rfft(g.values * step, m)
-    # not np.power(spec, k, out=spec): for k = 2 it differs from spec ** 2 in the last bit
-    spec **= k
-    dens = np.fft.irfft(spec, m)[:n]
+    if any(k < 1 for _, k in (*parts, *leaves)):
+        raise GridError("every part and leaf of a sum needs k >= 1 copies")
+    parts = sorted(parts, key=lambda p: (p[0].spec.count, p[0].spec.origin, p[1],
+                                         p[0].values.tobytes()))
+    if not leaves and len(parts) == 1 and parts[0][1] == 1:
+        return parts[0][0]
+    step = parts[0][0].spec.step
+    if not all(math.isclose(g.spec.step, step, rel_tol=1e-9) for g, _ in parts):
+        raise GridError("the grid parts of a sum must share one step")
+    n = 1 + sum(k * (g.spec.count - 1) for g, k in parts)
+    origin = (sum(k * g.spec.origin for g, k in parts)
+              + (sum(k for _, k in parts) - 1) * step / 2.0)
+    inherited = sum(k * g.error_estimate for g, k in parts)
+    lo = hi = 0.0
+    for m, k in leaves:
+        w_lo, w_hi = m.window()
+        lo, hi = lo + k * w_lo, hi + k * w_hi
+        inherited += k * _truncation_term(_tail_mass(m, w_lo, w_hi))
+    first = math.floor(lo / step)
+    n += math.ceil(hi / step) - first
+    size = _fft_length(n)
+    spec = None
+    for g, k in parts:
+        s = np.fft.rfft(g.values * step, size)
+        # not np.power(s, k, out=s): for k = 2 it differs from s ** 2 in the last bit
+        if k > 1:
+            s **= k
+        spec = s if spec is None else np.multiply(spec, s, out=spec)
+    if leaves:
+        t = np.arange(spec.size) * (-2.0 * math.pi / (size * step))
+        shift = 0.0
+        for m, k in leaves:
+            center, phi = m.characteristic(t)
+            spec *= phi if k == 1 else phi ** k
+            shift += k * center
+        whole = round(shift / step)
+        spec *= np.exp(1j * (shift - whole * step) * t)
+    dens = np.fft.irfft(spec, size)
+    dens = (np.roll(dens, whole - first) if leaves else dens)[:n]
     dens /= step
-    variance = g.moments.variance
-    sampling = sum(_sampling_term(j * variance, step) for j in range(2, k + 1))
-    return _live_grid(dens, k * g.spec.origin + (k - 1) * step / 2.0, step,
-                      k * g.error_estimate + sampling)
+    sampling = var = 0.0
+    for v, k in ([(g.moments.variance, k) for g, k in parts]
+                 + [(m.moments().variance, k) for m, k in leaves]):
+        # one-cell grids cap the term at SAMPLING_COEF
+        sampling += sum(SAMPLING_COEF * step * step / max(var + j * v, step * step)
+                        for j in range(2 if var == 0.0 else 1, k + 1))
+        var += k * v
+    return _live_grid(dens, origin + first * step, step, inherited + sampling)
 
 
 def _plain_entropy(values: np.ndarray, step: float) -> float:
@@ -423,7 +366,4 @@ def l1_distance(f: GridDensity, g: DensityModel) -> float:
     ref = np.asarray(g.pdf(x), dtype=float)
     inside = float(np.sum(np.abs(f.values - ref)) * f.spec.step)
     # model mass outside the grid window counts fully toward the distance
-    lo = f.spec.origin
-    hi = f.spec.origin + f.spec.width
-    outside = float(g.cdf(np.array([lo]))[0] + (1.0 - g.cdf(np.array([hi]))[0]))
-    return inside + outside
+    return inside + _tail_mass(g, f.spec.origin, f.spec.origin + f.spec.width)

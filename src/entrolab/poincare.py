@@ -28,9 +28,16 @@ _TRIM = 1e-140
 _LANCZOS_STEPS = 200
 # successive top Ritz values closer than this (relative) end the iteration
 _RITZ_TOL = 1e-10
+# the oracle accepts successive estimates within _REL_TOL (relative); grids
+# refine from _START_COUNT to _MAX_COUNT cells, and an unbounded window side
+# doubles at most _MAX_WIDENINGS times
+_REL_TOL = 0.005
+_START_COUNT = 1024
+_MAX_COUNT = 1 << 15
+_MAX_WIDENINGS = 7
 
 
-def poincare_constant(m: DensityModel, rel_tol: float = 0.005) -> float | None:
+def poincare_constant(m: DensityModel) -> float | None:
     """Poincare constant R(X), from the closed-form table when available.
 
     Gaussian, uniform, exponential and Laplace laws use exact values (the
@@ -49,25 +56,19 @@ def poincare_constant(m: DensityModel, rel_tol: float = 0.005) -> float | None:
         return 4.0 / m.rate ** 2
     if isinstance(m, Laplace):
         return 4.0 * m.scale ** 2
-    return spectral_poincare(m, rel_tol=rel_tol)
+    return spectral_poincare(m)
 
 
-def spectral_poincare(
-    m: DensityModel,
-    rel_tol: float = 0.005,
-    start_count: int = 1024,
-    max_count: int = 1 << 15,
-    max_widenings: int = 7,
-) -> float | None:
+def spectral_poincare(m: DensityModel) -> float | None:
     """Rayleigh-quotient estimate of R(X) on a refined, widened grid."""
     sup_lo, sup_hi = m.support()
     lo, hi = m.window(1e-13)
     previous = None
-    for _ in range(max_widenings + 1):
-        est = _converged_gap_estimate(m, lo, hi, rel_tol / 2.0, start_count, max_count)
+    for _ in range(_MAX_WIDENINGS + 1):
+        est = _converged_gap_estimate(m, lo, hi)
         if est is None:
             return None
-        if previous is not None and abs(est - previous) <= rel_tol * abs(previous):
+        if previous is not None and abs(est - previous) <= _REL_TOL * abs(previous):
             return est
         previous = est
         # widen only the unbounded sides; bounded supports are exact already
@@ -80,13 +81,14 @@ def spectral_poincare(
     return None
 
 
-def _converged_gap_estimate(m, lo, hi, rel_tol, start_count, max_count):
+def _converged_gap_estimate(m, lo, hi):
     previous = None
-    count = start_count
-    while count <= max_count:
+    count = _START_COUNT
+    while count <= _MAX_COUNT:
         est = _rayleigh_max(m, lo, hi, count)
         if est is not None and previous is not None:
-            if abs(est - previous) <= rel_tol * abs(previous):
+            # refinement converges to half the tolerance that widening accepts
+            if abs(est - previous) <= _REL_TOL / 2.0 * abs(previous):
                 return est
         previous = est
         count *= 2

@@ -9,7 +9,7 @@ traced benchmark run.  This runs a tiny traced suite to catch that here.
 from pathlib import Path
 
 from entrolab import checks, discrete, estimators, gaussians, grids, poincare, suite
-from entrolab.distributions import Gaussian
+from entrolab.distributions import Exponential, Gaussian, Uniform
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -26,10 +26,15 @@ def test_tracer_sees_every_layer(monkeypatch):
     try:
         suite.run_suite(config)
         checks.inverse_theorem_check(Gaussian(0.0, 1.0), checks.GridContext())
+        # three leaf grids on unequal steps: one sampled, one transformed
+        checks.GridContext().entropy((1, Gaussian(0.0, 1.0)), (1, Exponential(2.0)),
+                                     (1, Uniform(0.0, 1.0)))
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer.take())
     assert metrics["checks.ctx_entropy.calls"] > 0
+    assert metrics["grids.convolve.calls"] > 0
+    assert metrics["grids.resample.calls"] > 0
     assert metrics["checks.family.plunnecke_ruzsa.s"] > 0
     assert metrics["discrete.check_covering_lemma.s"] > 0
     assert metrics["checks.inverse_theorem_check.s"] > 0
