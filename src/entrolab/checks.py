@@ -25,7 +25,7 @@ import numpy as np
 from . import grids
 from .distributions import DensityModel, Exponential, Gaussian, Laplace, Mixture, Uniform
 from .poincare import poincare_constant
-from .report import InequalityReport, make_report
+from .report import InequalityReport, make_report, skipped
 
 __all__ = [
     "Approx",
@@ -493,13 +493,9 @@ def inverse_theorem_check(
 
     r = poincare_constant(m)
     if r is None:
-        for cid in ("inverse_fgr_sigma", "inverse_fgr_delta", "inverse_contraction"):
-            reports.append(InequalityReport(
-                check_id=cid, lhs=math.nan, rhs=math.nan, slack=math.nan,
-                err=math.nan, verdict="skipped", inputs=echo,
-                note="Poincare constant unavailable (oracle did not converge)",
-            ))
-        return reports
+        note = "Poincare constant unavailable (oracle did not converge)"
+        return reports + [skipped(cid, note, inputs=echo) for cid in
+                          ("inverse_fgr_sigma", "inverse_fgr_delta", "inverse_contraction")]
 
     factor = 2.0 * r / var + 1.0
     contraction = var / (2.0 * r + var)

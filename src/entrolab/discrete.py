@@ -238,10 +238,6 @@ DISCRETE_REGISTRY_ORDER = tuple(GROUP_CHECKS)
 DISCRETE_CHECK_IDS = tuple(sorted(GROUP_CHECKS))
 
 
-def discrete_arity(check_id: str, params: dict | None = None) -> int:
-    return GROUP_CHECKS[check_id].arity_for(params or {})
-
-
 def check_discrete_registry(
     check_id: str,
     pmfs: Sequence[DiscretePmf],

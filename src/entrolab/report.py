@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["InequalityReport", "make_report", "HOLDS", "VIOLATED", "INCONCLUSIVE", "SKIPPED"]
+__all__ = ["InequalityReport", "make_report", "skipped", "HOLDS", "VIOLATED", "INCONCLUSIVE", "SKIPPED"]
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -75,20 +75,23 @@ def make_report(
     degenerate: bool = False,
 ) -> InequalityReport:
     slack = rhs - lhs
-    if degenerate:
-        verdict = INCONCLUSIVE
-        note = note or "degenerate denominator"
-    else:
-        verdict = _verdict(kind, slack, err)
     return InequalityReport(
         check_id=check_id,
         lhs=lhs,
         rhs=rhs,
         slack=slack,
         err=err,
-        verdict=verdict,
+        verdict=INCONCLUSIVE if degenerate else _verdict(kind, slack, err),
         kind=kind,
         params=params or {},
         inputs=inputs,
         note=note,
     )
+
+
+def skipped(check_id: str, note: str, params: dict | None = None,
+            inputs: tuple = ()) -> InequalityReport:
+    """An entry that could not be evaluated; note says why."""
+    nan = math.nan
+    return InequalityReport(check_id=check_id, lhs=nan, rhs=nan, slack=nan, err=nan,
+                            verdict=SKIPPED, params=params or {}, inputs=inputs, note=note)

@@ -1,13 +1,14 @@
 """Suite configuration, orchestration and machine-readable reporting.
 
 A suite run draws a seeded corpus, executes the selected check families
-(optionally fanned out over a process pool), and assembles a deterministic
-report: rerunning with the same config and seed reproduces the serialized
-report byte for byte.  A family is a grid check of the registry, an exact
-group check, or ``inverse``, the inverse-theorem bundle run once per corpus
-law; its entries follow the order of the config's ``checks``.  Per-family
-wall-clock timings are collected for the console summary but kept out of
-the serialized report to preserve that guarantee.
+(optionally split over a process pool in fixed strides, one GridContext per
+process), and assembles a deterministic report: rerunning with the same
+config and seed reproduces the serialized report byte for byte.  A family
+is a grid check of the registry, an exact group check, or ``inverse``, the
+inverse-theorem bundle run once per corpus law; its entries follow the
+order of the config's ``checks``.  Per-family wall-clock timings are
+collected for the console summary but kept out of the serialized report to
+preserve that guarantee.
 """
 
 from __future__ import annotations
@@ -27,17 +28,17 @@ from . import __version__
 from .checks import CHECKS, GridContext, default_corpus, inverse_theorem_check, run_check
 from .discrete import (
     DISCRETE_CHECK_IDS,
+    GROUP_CHECKS,
     MAX_ORDER,
     check_covering_lemma,
     check_discrete_registry,
     check_functional_submodularity,
-    discrete_arity,
     random_pmf,
     DiscreteJoint,
 )
 from .distributions import DensityModel, ModelError, make_model
 from .grids import MAX_COUNT, MIN_COUNT, GridError
-from .report import InequalityReport, SKIPPED
+from .report import InequalityReport, skipped
 
 __all__ = ["ConfigError", "SuiteConfig", "SuiteReport", "load_config", "run_suite",
            "serialize_report", "write_report"]
@@ -270,18 +271,20 @@ def _trial_rng(seed: int, family_index: int, variant_index: int, salt: int = 0):
     )
 
 
-def _timed(job, args, ctx) -> tuple[list[InequalityReport], float]:
-    """Run one job and return its reports with its elapsed seconds."""
-    t0 = time.perf_counter()
-    reports = job(args, ctx)
-    return reports, time.perf_counter() - t0
+def _run_jobs(jobs, grid) -> list[tuple[list[InequalityReport], float]]:
+    """Run (job, args) pairs in order on one GridContext(*grid): (reports, seconds) per job."""
+    ctx = GridContext(*grid)
+    out = []
+    for job, args in jobs:
+        t0 = time.perf_counter()
+        out.append((job(args, ctx), time.perf_counter() - t0))
+    return out
 
 
 def _continuous_job(args, ctx) -> list[InequalityReport]:
     config, check_id, variant_index, models = args
     check = CHECKS[check_id]
     params = check.variants[variant_index]
-    ctx = ctx or GridContext(config.grid_count, config.window_sigmas)
     extra = float(config.tolerances.get(check_id, 0.0))
     arity = check.arity_for(params)
     n_trials = config.trials or max(1, len(models) // (arity * len(check.variants)))
@@ -292,18 +295,14 @@ def _continuous_job(args, ctx) -> list[InequalityReport]:
         try:
             rep = run_check(check, picks, ctx, dict(params), extra_err=extra)
         except (GridError, ModelError) as e:  # a law the pipeline rejects: skipped entry
-            rep = InequalityReport(
-                check_id=check_id, lhs=float("nan"), rhs=float("nan"),
-                slack=float("nan"), err=float("nan"), verdict=SKIPPED,
-                params=dict(params), note=f"{type(e).__name__}: {e}",
-            )
+            rep = skipped(check_id, f"{type(e).__name__}: {e}", dict(params),
+                          tuple(m.to_dict() for m in picks))
         out.append(rep)
     return out
 
 
 def _inverse_job(args, ctx) -> list[InequalityReport]:
     config, m = args
-    ctx = ctx or GridContext(config.grid_count, config.window_sigmas)
     return inverse_theorem_check(m, ctx, float(config.tolerances.get("inverse", 0.0)))
 
 
@@ -321,16 +320,12 @@ def _discrete_job(args, ctx) -> list[InequalityReport]:
         elif check_id == "functional_submodularity":
             rep = _random_submodularity(rng, order, extra)
         else:
-            cid = check_id.removeprefix("discrete.")
-            params = {}
-            if cid == "sum_difference_mi":
-                alphas = [v["alpha"] for v in CHECKS[cid].variants]
-                params = {"alpha": float(rng.choice(alphas))}
-            if cid in ("plunnecke_ruzsa", "iterated_sum"):
-                params = {"n": int(rng.integers(1, 4))}
-            k = discrete_arity(cid, params)
-            rep = check_discrete_registry(cid, [random_pmf(rng, order) for _ in range(k)],
-                                          params, extra)
+            check = GROUP_CHECKS[check_id.removeprefix("discrete.")]
+            # a single-variant check draws no variant, so its pmf stream stays put
+            n_variants = len(check.variants)
+            params = dict(check.variants[rng.integers(n_variants) if n_variants > 1 else 0])
+            pmfs = [random_pmf(rng, order) for _ in range(check.arity_for(params))]
+            rep = check_discrete_registry(check.id, pmfs, params, extra)
         out.append(rep)
     return out
 
@@ -361,23 +356,25 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             jobs += [(cid, _inverse_job, (config, m)) for m in models]
         else:
             jobs.append((cid, _discrete_job, (config, cid)))
-    ids, fns, fargs = zip(*jobs)
-
-    workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
-    pooled = workers > 1 and len(jobs) > 1
-    # the serial path shares one GridContext; each pool job builds its own
-    ctx = None if pooled else GridContext(config.grid_count, config.window_sigmas)
-    ctxs = [ctx] * len(jobs)
+    grid = (config.grid_count, config.window_sigmas)
+    work = [(fn, args) for _, fn, args in jobs]
+    workers = min(config.workers or os.cpu_count() or 1, len(jobs))
 
     t0 = time.perf_counter()
-    if pooled:
+    if workers > 1:
+        # worker i runs jobs i, i + w, i + 2w, ... on its own GridContext, so
+        # each worker's work is fixed by the config and the worker count
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_timed, fns, fargs, ctxs))
+            shares = pool.map(_run_jobs, [work[i::workers] for i in range(workers)],
+                              [grid] * workers)
+            results = [None] * len(jobs)
+            for i, share in enumerate(shares):
+                results[i::workers] = share
     else:
-        results = list(map(_timed, fns, fargs, ctxs))
+        results = _run_jobs(work, grid)
     reports: list[InequalityReport] = []
     timings: dict[str, float] = {}
-    for cid, (res, dt) in zip(ids, results):
+    for (cid, _, _), (res, dt) in zip(jobs, results):
         reports.extend(res)
         timings[cid] = timings.get(cid, 0.0) + dt
     timings["total"] = time.perf_counter() - t0

@@ -26,11 +26,11 @@ from entrolab.gaussians import (
 )
 from entrolab.discrete import (
     DISCRETE_CHECK_IDS,
+    GROUP_CHECKS,
     DiscreteJoint,
     check_covering_lemma,
     check_discrete_registry,
     check_functional_submodularity,
-    discrete_arity,
     random_pmf,
 )
 from entrolab.distributions import sample
@@ -170,13 +170,9 @@ def test_criterion_7_discrete_exactness():
     for _ in range(500):
         pool = [random_pmf(rng, 6) for _ in range(5)]
         for cid in DISCRETE_CHECK_IDS:
-            params = {}
-            if cid == "sum_difference_mi":
-                params = {"alpha": float(rng.choice([0, 0.25, 0.5, 0.75, 1.0]))}
-            if cid in ("plunnecke_ruzsa", "iterated_sum"):
-                params = {"n": int(rng.integers(1, 4))}
-            rep = check_discrete_registry(
-                cid, pool[: discrete_arity(cid, params)], params)
+            check = GROUP_CHECKS[cid]
+            params = dict(check.variants[rng.integers(len(check.variants))])
+            rep = check_discrete_registry(cid, pool[: check.arity_for(params)], params)
             if rep.verdict == "violated":
                 violations += 1
 

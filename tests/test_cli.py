@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 
 import pytest
 
+from entrolab import suite
 from entrolab.checks import CHECKS
 from entrolab.cli import ExpressionError, main, parse_expression
-from entrolab.distributions import Exponential, Gaussian, Uniform
+from entrolab.distributions import Exponential, Gaussian, Uniform, make_model
 from entrolab.suite import ConfigError, config_from_dict, run_suite
 
 
@@ -258,6 +261,25 @@ class TestCheckCommand:
             assert f"  {cid}: " in err
         assert "  total: " in err
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched class only when forked")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_grid_context_per_worker(self, tmp_path, monkeypatch, workers):
+        log = tmp_path / "contexts"
+
+        class CountedContext(suite.GridContext):
+            def __init__(self, *args):
+                super().__init__(*args)
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+
+        monkeypatch.setattr(suite, "GridContext", CountedContext)
+        # 11 jobs: one lower_bound variant, four plunnecke_ruzsa variants, six laws
+        config = config_from_dict({"seed": 1, "workers": workers, "corpus_size": 6,
+                                   "checks": ["lower_bound", "plunnecke_ruzsa", "inverse"]})
+        run_suite(config)
+        assert len(log.read_text().split()) == workers
+
     def test_full_registry_reports_all_families(self, tmp_path, capsys):
         cfg = write_config(tmp_path, checks="all", corpus_size=8)
         assert main(["check", "--config", cfg]) == 0
@@ -272,6 +294,9 @@ class TestCheckCommand:
         reports = run_suite(config).reports
         assert [r.verdict for r in reports] == ["skipped", "skipped"]
         assert all(r.note.startswith("GridError: ") for r in reports)
+        # the entry names the law it rejected
+        law = make_model(config.corpus[0]).to_dict()
+        assert all(r.inputs == (law, law) for r in reports)
 
     def test_program_error_propagates(self, monkeypatch):
         def broken(ctx, models, **params):

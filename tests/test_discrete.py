@@ -17,7 +17,6 @@ from entrolab.discrete import (
     check_discrete_registry,
     check_functional_submodularity,
     difference_pmf,
-    discrete_arity,
     discrete_entropy,
     random_pmf,
     reflect_pmf,
@@ -218,20 +217,16 @@ class TestDiscreteRegistry:
         for _ in range(500):
             pool = [random_pmf(rng, 6) for _ in range(5)]
             for cid in DISCRETE_CHECK_IDS:
-                params = {}
-                if cid == "sum_difference_mi":
-                    params = {"alpha": float(rng.choice([0, 0.25, 0.5, 0.75, 1.0]))}
-                if cid in ("plunnecke_ruzsa", "iterated_sum"):
-                    params = {"n": int(rng.integers(1, 4))}
-                k = discrete_arity(cid, params)
-                rep = check_discrete_registry(cid, pool[:k], params)
+                check = GROUP_CHECKS[cid]
+                params = dict(check.variants[rng.integers(len(check.variants))])
+                rep = check_discrete_registry(cid, pool[:check.arity_for(params)], params)
                 assert rep.verdict != "violated", (cid, params, rep.slack)
 
     @pytest.mark.parametrize("cid", DISCRETE_REGISTRY_ORDER)
     def test_default_params_match_default_arity(self, cid):
-        # discrete_arity and check_discrete_registry read the same default parameters
+        # arity_for and check_discrete_registry read the same default parameters
         rng = np.random.default_rng(DISCRETE_REGISTRY_ORDER.index(cid))
-        pmfs = [random_pmf(rng, 4) for _ in range(discrete_arity(cid))]
+        pmfs = [random_pmf(rng, 4) for _ in range(GROUP_CHECKS[cid].arity_for({}))]
         assert check_discrete_registry(cid, pmfs).verdict != "violated"
 
     def test_unknown_check_rejected(self):

@@ -618,6 +618,21 @@ class TestErrorAudit:
         assert abs(h - exact) <= err, f"|h - exact| / err = {abs(h - exact) / err:.3f}"
 
 
+class TestErrorAuditCoarse(TestErrorAudit):
+    """The same audit at 2^11 cells, one eighth of the default count.
+
+    A verdict decided on a coarse grid before refining needs err to bound
+    there too.
+    """
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        return GridContext(1 << 11)
+
+    # builds its own contexts, so it runs once, in the parent class
+    test_deep_sum_stable_under_refinement = None
+
+
 class TestMirrorImage:
     """err of a sum against err of its mirror image, which has the same entropy."""
 
