@@ -265,20 +265,26 @@ class TestCheckCommand:
                         reason="workers see the patched class only when forked")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_grid_context_per_worker(self, tmp_path, monkeypatch, workers):
+        # one context per worker at each count: the coarse one and the fine one
         log = tmp_path / "contexts"
 
         class CountedContext(suite.GridContext):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, count, *args):
+                super().__init__(count, *args)
                 with open(log, "a", encoding="utf-8") as fh:
-                    fh.write(f"{os.getpid()}\n")
+                    fh.write(f"{os.getpid()} {count}\n")
 
         monkeypatch.setattr(suite, "GridContext", CountedContext)
         # 11 jobs: one lower_bound variant, four plunnecke_ruzsa variants, six laws
         config = config_from_dict({"seed": 1, "workers": workers, "corpus_size": 6,
                                    "checks": ["lower_bound", "plunnecke_ruzsa", "inverse"]})
         run_suite(config)
-        assert len(log.read_text().split()) == workers
+        built = [line.split() for line in log.read_text().splitlines()]
+        pids = {pid for pid, _ in built}
+        assert len(pids) == workers
+        fine = config.grid_count
+        assert sorted(built) == sorted([pid, str(count)] for pid in pids
+                                       for count in (fine // suite.REFINE_RATIO, fine))
 
     def test_full_registry_reports_all_families(self, tmp_path, capsys):
         cfg = write_config(tmp_path, checks="all", corpus_size=8)
@@ -286,13 +292,17 @@ class TestCheckCommand:
         data = json.loads((tmp_path / "report.json").read_text())
         assert len({c["check_id"] for c in data["checks"]}) >= 13
 
-    def test_rejected_law_becomes_skipped_entry(self):
+    def test_rejected_law_becomes_skipped_entry(self, monkeypatch):
         # Gamma(0.5) has an unbounded density, which the grid pipeline rejects
+        counts = _record_run_check_counts(monkeypatch)
         config = config_from_dict({
             "seed": 1, "workers": 1, "checks": ["lower_bound"], "trials": 2,
             "corpus": [{"kind": "gamma", "shape": 0.5, "scale": 1.0}]})
         reports = run_suite(config).reports
+        # rejected at both counts, each trial gives one entry, not one per count
         assert [r.verdict for r in reports] == ["skipped", "skipped"]
+        coarse = config.grid_count // suite.REFINE_RATIO
+        assert counts == [coarse, config.grid_count] * 2
         assert all(r.note.startswith("GridError: ") for r in reports)
         # the entry names the law it rejected
         law = make_model(config.corpus[0]).to_dict()
@@ -318,6 +328,69 @@ class TestCheckCommand:
             trials=3,
         )
         assert main(["check", "--config", cfg]) == 0
+
+
+def _record_run_check_counts(monkeypatch) -> list[int]:
+    """Patch suite.run_check to log the grid count of each call's context."""
+    counts = []
+    run_check = suite.run_check
+
+    def recorded(check, models, ctx, *args, **kwargs):
+        counts.append(ctx.count)
+        return run_check(check, models, ctx, *args, **kwargs)
+
+    monkeypatch.setattr(suite, "run_check", recorded)
+    return counts
+
+
+class TestCoarseFirst:
+    """Each grid check is decided at grid_count // REFINE_RATIO first and refined if undecided."""
+
+    @pytest.fixture(scope="class")
+    def fine_suite(self):
+        """The default suite at seed 20240501 with every check run at grid_count only."""
+        with pytest.MonkeyPatch.context() as mp:
+            # a ratio that leaves no coarse count of at least MIN_COUNT cells
+            mp.setattr(suite, "REFINE_RATIO", 1 << 14)
+            return run_suite(config_from_dict({"seed": 20240501, "workers": 1}))
+
+    def test_coarse_verdicts_and_sides_agree_with_the_fine_count(self, default_suite,
+                                                                 fine_suite):
+        coarse_first, _ = default_suite
+        assert len(coarse_first.reports) == len(fine_suite.reports) == 686
+        for a, b in zip(coarse_first.reports, fine_suite.reports):
+            assert (a.check_id, a.inputs, a.params) == (b.check_id, b.inputs, b.params)
+            assert a.verdict == b.verdict
+            if a.verdict == "inconclusive":  # refined: the fine run's entry
+                assert a == b
+                continue
+            # decided at the coarse count; 0.60 of the bound at most at this seed
+            for side_a, side_b in ((a.lhs, b.lhs), (a.rhs, b.rhs)):
+                assert abs(side_a - side_b) <= a.err + b.err, (a.check_id, a.params)
+
+    def test_only_undecided_checks_are_refined(self, monkeypatch):
+        counts = _record_run_check_counts(monkeypatch)
+        config = config_from_dict({"seed": 20240501, "workers": 1, "corpus_size": 30,
+                                   "checks": ["epi_doubling", "plunnecke_ruzsa"]})
+        reports = run_suite(config).reports
+        coarse = config.grid_count // suite.REFINE_RATIO
+        calls = iter(counts)
+        for r in reports:
+            assert next(calls) == coarse
+            if r.verdict not in ("holds", "violated"):
+                assert next(calls) == config.grid_count
+        assert next(calls, None) is None
+        assert {r.verdict for r in reports} == {"holds", "inconclusive"}
+
+    @pytest.mark.parametrize("grid_count,ladder", [(512, [512]), (2048, [256, 2048])])
+    def test_no_coarse_count_below_the_minimum(self, monkeypatch, grid_count, ladder):
+        counts = _record_run_check_counts(monkeypatch)
+        reports = run_suite(config_from_dict({
+            "seed": 909, "workers": 1, "corpus_size": 12, "numerics": {"grid_count": grid_count},
+            "checks": ["lower_bound", "ruzsa_triangle", "epi_doubling"]})).reports
+        assert sorted(set(counts)) == ladder
+        if len(ladder) == 1:  # one call per entry: every check runs once, at grid_count
+            assert len(counts) == len(reports)
 
 
 class TestBsgCommand:

@@ -28,6 +28,7 @@ from entrolab.grids import (
     reflect,
     resample,
 )
+from entrolab.suite import REFINE_RATIO
 
 LN_2PI_E = math.log(2 * math.pi * math.e)
 EULER_GAMMA = float(np.euler_gamma)
@@ -619,7 +620,7 @@ class TestErrorAudit:
 
 
 class TestErrorAuditCoarse(TestErrorAudit):
-    """The same audit at 2^11 cells, one eighth of the default count.
+    """The same audit at the coarse count the suite decides verdicts at first.
 
     A verdict decided on a coarse grid before refining needs err to bound
     there too.
@@ -627,10 +628,49 @@ class TestErrorAuditCoarse(TestErrorAudit):
 
     @pytest.fixture(scope="class")
     def ctx(self):
-        return GridContext(1 << 11)
+        return GridContext((1 << 14) // REFINE_RATIO)
 
     # builds its own contexts, so it runs once, in the parent class
     test_deep_sum_stable_under_refinement = None
+
+
+# a scale ratio against a unit law, drawn log-uniformly from [1e-2, 1e2]
+_ratios = st.floats(-2.0, 2.0).map(lambda u: 10.0 ** u)
+
+
+@pytest.mark.parametrize("count", [1 << 14, (1 << 14) // REFINE_RATIO])
+class TestDrawnAudit:
+    """Drawn sums with closed-form entropies at the fine and the coarse count.
+
+    Each gives |h - exact| <= err or raises GridError; it never under-covers.
+    """
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from([1, -1]), _ratios), min_size=1, max_size=4))
+    def test_gaussian_sums(self, count, terms):
+        variance = sum(r * r for _, r in terms)
+        self._audit(count, [(sign, Gaussian(0, r * r)) for sign, r in terms],
+                    0.5 * math.log(2 * math.pi * math.e * variance))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), _ratios)
+    def test_equal_rate_exponentials_are_gamma(self, count, k, rate):
+        exact = k - math.log(rate) + math.lgamma(k) + (1 - k) * float(digamma(k))
+        self._audit(count, [(1, Exponential(rate))] * k, exact)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(_ratios)
+    def test_exponential_difference_is_laplace(self, count, rate):
+        self._audit(count, [(1, Exponential(rate)), (-1, Exponential(rate))],
+                    1.0 + math.log(2.0 / rate))
+
+    @staticmethod
+    def _audit(count, terms, exact):
+        try:
+            h, err = entropy(GridContext(count).sum_grid(terms))
+        except GridError:
+            return
+        assert abs(h - exact) <= err, f"|h - exact| / err = {abs(h - exact) / err:.3f}"
 
 
 class TestMirrorImage:
