@@ -40,6 +40,7 @@ __all__ = [
     "sum_minus_difference_gap",
     "sum_dominant_gap",
     "inverse_theorem_check",
+    "INVERSE_CHECK_IDS",
     "default_corpus",
 ]
 
@@ -459,6 +460,12 @@ def sum_dominant_gap(scale: float = 3.0, ctx: GridContext | None = None) -> Appr
 # inverse-theorem bundle
 
 
+# the entries of the inverse bundle, in report order; the last three need a Poincare constant
+INVERSE_CHECK_IDS = ("inverse_epi_sigma", "inverse_epi_delta", "inverse_reverse_sigma",
+                     "inverse_reverse_delta", "inverse_pinsker", "inverse_fgr_sigma",
+                     "inverse_fgr_delta", "inverse_contraction")
+
+
 def inverse_theorem_check(
     m: DensityModel,
     ctx: GridContext | None = None,
@@ -494,8 +501,7 @@ def inverse_theorem_check(
     r = poincare_constant(m)
     if r is None:
         note = "Poincare constant unavailable (oracle did not converge)"
-        return reports + [skipped(cid, note, inputs=echo) for cid in
-                          ("inverse_fgr_sigma", "inverse_fgr_delta", "inverse_contraction")]
+        return reports + [skipped(cid, note, inputs=echo) for cid in INVERSE_CHECK_IDS[-3:]]
 
     factor = 2.0 * r / var + 1.0
     contraction = var / (2.0 * r + var)

@@ -9,11 +9,12 @@ config: discrete selects the exact group checks, and inverse the
 is given).  Flags given on the command line take the place of the config's
 fields.
 
-Exit status: 0 when no check is violated, 1 when at least one is,
-2 on configuration or usage errors.  A suite report (check, discrete,
-inverse) in which every entry is skipped also exits 2, with "error: every
-entry was skipped" on stderr; a report with only some entries skipped
-keeps the exit status above and prints its skipped count on stderr.
+Exit status: 0 when no check is violated, 1 when at least one is, 2 on
+configuration or usage errors and when the output file cannot be written.
+A suite report (check, discrete, inverse) in which every entry is skipped
+also exits 2, with "error: every entry was skipped" on stderr; a report
+with only some entries skipped keeps the exit status above and prints its
+skipped count on stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .suite import (
     run_suite,
     serialize_report,
     window_sigmas_field,
-    write_report,
 )
 
 LN2 = math.log(2.0)
@@ -178,11 +178,8 @@ def _run(config: SuiteConfig, args) -> int:
     A report with nothing but skipped entries is an error.
     """
     report = run_suite(config)
-    if config.output_path:
-        write_report(report, config.output_path, config.output_format)
-        print(f"wrote {config.output_path}")
-    else:
-        sys.stdout.write(serialize_report(report, config.output_format))
+    if not _emit(serialize_report(report, config.output_format), config.output_path):
+        return EXIT_USAGE
     counts = report.summary()
     print(f"summary: {counts['holds']} holds, {counts['violated']} violated, "
           f"{counts['inconclusive']} inconclusive, {counts['skipped']} skipped",
@@ -197,6 +194,21 @@ def _run(config: SuiteConfig, args) -> int:
     return EXIT_VIOLATED if counts["violated"] else EXIT_OK
 
 
+def _emit(text: str, path: str | None, what: str = "") -> bool:
+    """Write text to path, or to stdout without one; False when the file cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"error: cannot write {path}: {e}", file=sys.stderr)
+        return False
+    print(f"wrote {path}{what}")
+    return True
+
+
 def _cmd_bsg(args) -> int:
     if args.sweep:
         try:
@@ -208,7 +220,7 @@ def _cmd_bsg(args) -> int:
             print("error: sweep range must lie inside (-1, 1) with positive step",
                   file=sys.stderr)
             return EXIT_USAGE
-        rhos = [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+        rhos = [lo + i * step for i in range(math.floor((hi - lo) / step + 1e-9) + 1)]
     elif args.rho is not None:
         if not -1.0 < args.rho < 1.0:
             print(f"error: rho must lie in (-1, 1), got {args.rho}", file=sys.stderr)
@@ -230,13 +242,9 @@ def _cmd_bsg(args) -> int:
         "scenarios": scenarios,
         "weak_bounds": weak,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} ({len(scenarios)} scenario(s))")
-    else:
-        sys.stdout.write(text)
+    if not _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out,
+                 f" ({len(scenarios)} scenario(s))"):
+        return EXIT_USAGE
     worst = min(min(s["conclusion_a"][2], s["conclusion_b"][2], s["conclusion_c"][2])
                 for s in scenarios)
     print(f"worst conclusion slack: {worst:.3e}", file=sys.stderr)

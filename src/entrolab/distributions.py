@@ -16,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+import numbers
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar
 
@@ -39,6 +40,7 @@ __all__ = [
     "Mixture",
     "Gridded",
     "KINDS",
+    "is_finite_number",
     "make_model",
     "sample",
 ]
@@ -56,6 +58,11 @@ class ModelError(ValueError):
     """Distribution parameters violate the catalog contract."""
 
 
+def is_finite_number(value) -> bool:
+    """A real number other than NaN or an infinity; booleans and strings are not numbers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """Mean and variance of a model, exact for analytic kinds."""
@@ -66,11 +73,28 @@ class MomentSummary:
 
 @dataclass(frozen=True)
 class DensityModel:
-    """Base class for catalog entries.  Instances are immutable values."""
+    """Base class for catalog entries.  Instances are immutable values.
+
+    The fields are the parameters that ``to_dict`` writes and ``make_model``
+    reads; a kind adds its own inequalities in ``_check``.
+    """
 
     # True when the law of -X is a translate of the law of X.  A wrong False
     # only costs a cache hit in GridContext; a wrong True gives wrong entropies.
     symmetric: ClassVar[bool] = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not is_finite_number(value) \
+                    or f.type == "bool" and not isinstance(value, bool):
+                want = "a finite number" if f.type == "float" else "true or false"
+                raise ModelError(f"{type(self).__name__.lower()} {f.name} must be {want}, "
+                                 f"got {value!r}")
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ModelError unless the parameters meet the kind's inequalities."""
 
     def moments(self) -> MomentSummary:
         raise NotImplementedError
@@ -110,7 +134,13 @@ class DensityModel:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The kind and every parameter that is not at its default."""
+        d = {"kind": type(self).__name__.lower()}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.default is MISSING or value != f.default:
+                d[f.name] = value
+        return d
 
     @cached_property
     def content_key(self) -> str:
@@ -129,11 +159,9 @@ class Gaussian(DensityModel):
 
     symmetric = True
 
-    def __post_init__(self):
-        if not (self.variance > 0.0) or not math.isfinite(self.variance):
+    def _check(self):
+        if not self.variance > 0.0:
             raise ModelError(f"gaussian variance must be positive, got {self.variance}")
-        if not math.isfinite(self.mean):
-            raise ModelError("gaussian mean must be finite")
 
     def moments(self) -> MomentSummary:
         return MomentSummary(self.mean, self.variance)
@@ -164,9 +192,6 @@ class Gaussian(DensityModel):
     def sample_rng(self, rng, n):
         return rng.normal(self.mean, math.sqrt(self.variance), n)
 
-    def to_dict(self):
-        return {"kind": "gaussian", "mean": self.mean, "variance": self.variance}
-
 
 @dataclass(frozen=True)
 class Uniform(DensityModel):
@@ -175,11 +200,9 @@ class Uniform(DensityModel):
 
     symmetric = True
 
-    def __post_init__(self):
-        if not (self.upper > self.lower):
+    def _check(self):
+        if not self.upper > self.lower:
             raise ModelError(f"uniform needs lower < upper, got [{self.lower}, {self.upper}]")
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ModelError("uniform bounds must be finite")
 
     @property
     def width(self) -> float:
@@ -217,24 +240,48 @@ class Uniform(DensityModel):
     def sample_rng(self, rng, n):
         return rng.uniform(self.lower, self.upper, n)
 
-    def to_dict(self):
-        return {"kind": "uniform", "lower": self.lower, "upper": self.upper}
+
+class _OneSided(DensityModel):
+    """Law of ``s*T + shift`` with T >= 0, s = -1 if reflected.
+
+    A kind's fields are T's parameters, then ``shift`` and ``reflected``; it
+    gives ``_reach(eps)``, the upper eps-quantile of T, and ``_scaled(k)``,
+    T's parameters for the law of k*T.
+    """
+
+    def _sign(self) -> float:
+        return -1.0 if self.reflected else 1.0
+
+    def support(self):
+        return (-math.inf, self.shift) if self.reflected else (self.shift, math.inf)
+
+    def window(self, eps: float = TAIL_EPS):
+        edge = self.shift + self._sign() * self._reach(eps)
+        return (min(edge, self.shift), max(edge, self.shift))
+
+    def affine(self, a, b):
+        _check_scale(a)
+        return replace(self, shift=a * self.shift + b, reflected=self.reflected != bool(a < 0),
+                       **self._scaled(abs(a)))
 
 
 @dataclass(frozen=True)
-class Exponential(DensityModel):
+class Exponential(_OneSided):
     """Law of ``s*E + shift`` with E ~ Exponential(rate), s = -1 if reflected."""
 
     rate: float
     shift: float = 0.0
     reflected: bool = False
 
-    def __post_init__(self):
-        if not (self.rate > 0.0) or not math.isfinite(self.rate):
+    def _check(self):
+        if not self.rate > 0.0:
             raise ModelError(f"exponential rate must be positive, got {self.rate}")
 
-    def _sign(self) -> float:
-        return -1.0 if self.reflected else 1.0
+    def _reach(self, eps):
+        return -math.log(eps) / self.rate
+
+    def _scaled(self, k):
+        return {"rate": self.rate / k}
 
     def moments(self) -> MomentSummary:
         return MomentSummary(self._sign() / self.rate + self.shift, 1.0 / self.rate ** 2)
@@ -254,38 +301,11 @@ class Exponential(DensityModel):
             return np.where(t < 0.0, np.exp(np.clip(t, None, 0.0)), 1.0)
         return np.where(t > 0.0, -np.expm1(-np.clip(t, 0.0, None)), 0.0)
 
-    def support(self):
-        if self.reflected:
-            return (-math.inf, self.shift)
-        return (self.shift, math.inf)
-
-    def window(self, eps: float = TAIL_EPS):
-        reach = -math.log(eps) / self.rate
-        if self.reflected:
-            return (self.shift - reach, self.shift)
-        return (self.shift, self.shift + reach)
-
     def characteristic(self, t):
         return self.shift, self.rate / (self.rate - 1j * self._sign() * t)
 
-    def affine(self, a, b):
-        _check_scale(a)
-        return Exponential(
-            rate=self.rate / abs(a),
-            shift=a * self.shift + b,
-            reflected=self.reflected ^ (a < 0),
-        )
-
     def sample_rng(self, rng, n):
         return self._sign() * rng.exponential(1.0 / self.rate, n) + self.shift
-
-    def to_dict(self):
-        d = {"kind": "exponential", "rate": self.rate}
-        if self.shift != 0.0:
-            d["shift"] = self.shift
-        if self.reflected:
-            d["reflected"] = True
-        return d
 
 
 @dataclass(frozen=True)
@@ -295,8 +315,8 @@ class Laplace(DensityModel):
 
     symmetric = True
 
-    def __post_init__(self):
-        if not (self.scale > 0.0) or not math.isfinite(self.scale):
+    def _check(self):
+        if not self.scale > 0.0:
             raise ModelError(f"laplace scale must be positive, got {self.scale}")
 
     def moments(self) -> MomentSummary:
@@ -329,12 +349,9 @@ class Laplace(DensityModel):
     def sample_rng(self, rng, n):
         return rng.laplace(self.location, self.scale, n)
 
-    def to_dict(self):
-        return {"kind": "laplace", "location": self.location, "scale": self.scale}
-
 
 @dataclass(frozen=True)
-class Gamma(DensityModel):
+class Gamma(_OneSided):
     """Law of ``s*G + shift`` with G ~ Gamma(shape, scale), s = -1 if reflected."""
 
     shape: float
@@ -342,14 +359,16 @@ class Gamma(DensityModel):
     shift: float = 0.0
     reflected: bool = False
 
-    def __post_init__(self):
-        if not (self.shape > 0.0) or not (self.scale > 0.0):
-            raise ModelError(
-                f"gamma shape and scale must be positive, got ({self.shape}, {self.scale})"
-            )
+    def _check(self):
+        if not (self.shape > 0.0 and self.scale > 0.0):
+            raise ModelError(f"gamma shape and scale must be positive, "
+                             f"got ({self.shape}, {self.scale})")
 
-    def _sign(self) -> float:
-        return -1.0 if self.reflected else 1.0
+    def _reach(self, eps):
+        return _special.gammainccinv(self.shape, eps) * self.scale
+
+    def _scaled(self, k):
+        return {"scale": self.scale * k}
 
     def moments(self) -> MomentSummary:
         return MomentSummary(self._sign() * self.shape * self.scale + self.shift,
@@ -375,17 +394,6 @@ class Gamma(DensityModel):
         c = _special.gammainc(self.shape, t)
         return 1.0 - c if self.reflected else c
 
-    def support(self):
-        if self.reflected:
-            return (-math.inf, self.shift)
-        return (self.shift, math.inf)
-
-    def window(self, eps: float = TAIL_EPS):
-        reach = _special.gammainccinv(self.shape, eps) * self.scale
-        if self.reflected:
-            return (self.shift - reach, self.shift)
-        return (self.shift, self.shift + reach)
-
     def characteristic(self, t):
         return self.shift, (1.0 - 1j * self._sign() * self.scale * t) ** -self.shape
 
@@ -393,25 +401,8 @@ class Gamma(DensityModel):
         # shape < 1 puts an integrable singularity at the support edge
         return self.shape >= 1.0
 
-    def affine(self, a, b):
-        _check_scale(a)
-        return Gamma(
-            shape=self.shape,
-            scale=self.scale * abs(a),
-            shift=a * self.shift + b,
-            reflected=self.reflected ^ (a < 0),
-        )
-
     def sample_rng(self, rng, n):
         return self._sign() * rng.gamma(self.shape, self.scale, n) + self.shift
-
-    def to_dict(self):
-        d = {"kind": "gamma", "shape": self.shape, "scale": self.scale}
-        if self.shift != 0.0:
-            d["shift"] = self.shift
-        if self.reflected:
-            d["reflected"] = True
-        return d
 
 
 @dataclass(frozen=True)
@@ -419,11 +410,13 @@ class Mixture(DensityModel):
     weights: tuple[float, ...]
     components: tuple[DensityModel, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.components) == 0:
             raise ModelError("mixture needs at least one component")
         if len(self.weights) != len(self.components):
             raise ModelError("mixture weights and components must have equal length")
+        if not all(map(is_finite_number, self.weights)):
+            raise ModelError(f"mixture weights must be finite numbers, got {self.weights!r}")
         w = np.asarray(self.weights, dtype=float)
         if np.any(w < 0.0):
             raise ModelError("mixture weights must be nonnegative")
@@ -581,20 +574,23 @@ KINDS: dict[str, type[DensityModel]] = {
 
 
 def make_model(spec: dict) -> DensityModel:
-    """Build a validated model from a parameter record (see ``to_dict``)."""
+    """Build a validated model from a parameter record (see ``to_dict``); other keys are errors."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ModelError(f"model spec must be a dict with a 'kind' field, got {spec!r}")
     kind = spec["kind"]
-    if kind == "mixture":
-        comps = tuple(make_model(c) for c in spec["components"])
-        return Mixture(tuple(spec["weights"]), comps)
-    if kind in KINDS:
-        try:
-            return KINDS[kind](**{f.name: spec[f.name] for f in fields(KINDS[kind])
-                                  if f.default is MISSING or f.name in spec})
-        except KeyError as e:
-            raise ModelError(f"missing parameter {e} for kind '{kind}'") from e
-    raise ModelError(f"unknown model kind '{kind}'")
+    cls = {"mixture": Mixture, **KINDS}.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ModelError(f"unknown model kind {kind!r}")
+    params = {k: v for k, v in spec.items() if k != "kind"}
+    unknown = sorted(params.keys() - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
+    if unknown or missing:
+        raise ModelError(f"kind '{kind}': unknown parameters {unknown}, missing {missing}")
+    if cls is Mixture:
+        if not all(isinstance(params[k], (list, tuple)) for k in ("weights", "components")):
+            raise ModelError("mixture weights and components must be lists")
+        params["components"] = [make_model(c) for c in params["components"]]
+    return cls(**params)
 
 
 def sample(m: DensityModel, n: int, seed: int) -> np.ndarray:

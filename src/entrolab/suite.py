@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .checks import CHECKS, GridContext, default_corpus, inverse_theorem_check, run_check
+from .checks import (CHECKS, INVERSE_CHECK_IDS, GridContext, default_corpus,
+                     inverse_theorem_check, run_check)
 from .discrete import (
     DISCRETE_CHECK_IDS,
     GROUP_CHECKS,
@@ -40,12 +40,12 @@ from .discrete import (
     random_pmf,
     DiscreteJoint,
 )
-from .distributions import DensityModel, ModelError, make_model
+from .distributions import DensityModel, ModelError, is_finite_number, make_model
 from .grids import MAX_COUNT, MIN_COUNT, GridError
 from .report import InequalityReport, skipped
 
 __all__ = ["ConfigError", "SuiteConfig", "SuiteReport", "load_config", "run_suite",
-           "serialize_report", "write_report"]
+           "serialize_report"]
 
 SCHEMA_VERSION = 1
 
@@ -139,15 +139,9 @@ def grid_count_field(value, name: str) -> int:
     return count
 
 
-def _is_finite_number(value) -> bool:
-    """A JSON number other than NaN or an infinity; booleans and strings are not numbers."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) \
-        and math.isfinite(value)
-
-
 def window_sigmas_field(value, name: str) -> float:
     """A discretization window half-width in standard deviations: a positive finite number."""
-    if not _is_finite_number(value) or value <= 0:
+    if not is_finite_number(value) or value <= 0:
         raise ConfigError(f"'{name}' must be a positive finite number, got {value!r}")
     return float(value)
 
@@ -163,7 +157,7 @@ def _tolerances_field(value) -> dict:
     for cid, tol in value.items():
         if cid not in VALID_CHECK_IDS:
             raise ConfigError(f"tolerance override for unknown check id '{cid}'")
-        if not _is_finite_number(tol) or tol < 0:
+        if not is_finite_number(tol) or tol < 0:
             raise ConfigError(f"'numerics.tolerances.{cid}' must be a finite number "
                               f">= 0, got {tol!r}")
     return dict(value)
@@ -177,19 +171,12 @@ def _section(raw: dict, key: str) -> dict:
     return value
 
 
-def _workers_field(value) -> int | None:
-    """A pool size: an integer >= 1, or None for one worker per CPU."""
-    return None if value is None else _int_field(value, "workers")
-
-
 def config_from_dict(raw: dict) -> SuiteConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if "seed" not in raw:
         raise ConfigError("config requires a 'seed' field")
-    seed = raw["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    seed = _int_field(raw["seed"], "seed", low=0)
 
     numerics = _section(raw, "numerics")
     grid_count = grid_count_field(numerics.get("grid_count", 1 << 14), "numerics.grid_count")
@@ -220,6 +207,9 @@ def config_from_dict(raw: dict) -> SuiteConfig:
     fmt = output.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"output format must be json or csv, got '{fmt}'")
+    path = output.get("path")
+    if path is not None and not (isinstance(path, str) and path):
+        raise ConfigError(f"'output.path' must be a nonempty string or null, got {path!r}")
 
     trials = raw.get("trials")
     if trials is not None:
@@ -237,9 +227,9 @@ def config_from_dict(raw: dict) -> SuiteConfig:
         discrete_group_order=_int_field(discrete.get("group_order", 6), "discrete.group_order",
                                         low=2, high=MAX_ORDER),
         discrete_trials=_int_field(discrete.get("trials", 100), "discrete.trials"),
-        output_path=output.get("path"),
+        output_path=path,
         output_format=fmt,
-        workers=_workers_field(raw.get("workers")),
+        workers=None if raw.get("workers") is None else _int_field(raw["workers"], "workers"),
     )
 
 
@@ -322,9 +312,13 @@ def _continuous_job(args, ladder) -> list[InequalityReport]:
 
 
 def _inverse_job(args, ladder) -> list[InequalityReport]:
-    """The inverse bundle of one law, on the fine context only."""
+    """The inverse bundle of one law, on the fine context only; a rejected law skips all of it."""
     config, m = args
-    return inverse_theorem_check(m, ladder[-1], float(config.tolerances.get("inverse", 0.0)))
+    try:
+        return inverse_theorem_check(m, ladder[-1], float(config.tolerances.get("inverse", 0.0)))
+    except (GridError, ModelError) as e:
+        note = f"{type(e).__name__}: {e}"
+        return [skipped(cid, note, inputs=(m.to_dict(),)) for cid in INVERSE_CHECK_IDS]
 
 
 def _discrete_job(args, ladder) -> list[InequalityReport]:
@@ -438,7 +432,3 @@ def _to_csv(report: SuiteReport) -> str:
         ])
     return buf.getvalue()
 
-
-def write_report(report: SuiteReport, path: str, fmt: str = "json") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_report(report, fmt))

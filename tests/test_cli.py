@@ -7,7 +7,7 @@ import os
 import pytest
 
 from entrolab import suite
-from entrolab.checks import CHECKS
+from entrolab.checks import CHECKS, INVERSE_CHECK_IDS
 from entrolab.cli import ExpressionError, main, parse_expression
 from entrolab.distributions import Exponential, Gaussian, Uniform, make_model
 from entrolab.suite import ConfigError, config_from_dict, run_suite
@@ -184,6 +184,11 @@ class TestCheckCommand:
         ("discrete", 5),
         ("output", "x"),
         ("seed", True),
+        ("seed", -1),  # numpy seeds are nonnegative
+        ("output", {"path": 1}),  # not file descriptor 1
+        ("output", {"path": True}),
+        ("output", {"path": []}),
+        ("output", {"path": ""}),
     ])
     def test_bad_numbers_rejected_at_load(self, tmp_path, capsys, field, value):
         with pytest.raises(ConfigError):
@@ -191,6 +196,15 @@ class TestCheckCommand:
         cfg = write_config(tmp_path, **{field: value})
         assert main(["check", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "missing_dir" / "report.json")
+        cfg = write_config(tmp_path, checks=["lower_bound"], trials=1, workers=1,
+                           output={"path": path})
+        assert main(["check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {path}" in err
+        assert "summary:" not in err
 
     def test_good_window_and_workers_accepted(self):
         config = config_from_dict({"seed": 1, "numerics": {"window_sigmas": 8},
@@ -413,6 +427,18 @@ class TestBsgCommand:
     def test_out_of_range_rho_exits_2(self, capsys):
         assert main(["bsg", "--rho", "1.0"]) == 2
 
+    def test_sweep_stops_at_the_last_step_below_hi(self, tmp_path, capsys):
+        # 1.8 / 0.7 is 2.57 steps: three points, none past hi
+        out = tmp_path / "sweep.json"
+        assert main(["bsg", "--sweep=-0.9:0.9:0.7", "--out", str(out)]) == 0
+        rhos = [s["rho"] for s in json.loads(out.read_text())["scenarios"]]
+        assert rhos == pytest.approx([-0.9, -0.2, 0.5], abs=1e-12)
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "missing_dir" / "bsg.json")
+        assert main(["bsg", "--rho", "0", "--out", path]) == 2
+        assert f"error: cannot write {path}" in capsys.readouterr().err
+
 
 class TestDiscreteCommand:
     def test_runs_clean(self, tmp_path, capsys):
@@ -496,6 +522,22 @@ class TestInverseSuiteFamily:
         inverse = json.loads((tmp_path / "inv.json").read_text())
         assert check["checks"] == inverse["checks"]
         assert len(check["checks"]) == 8 * 4
+
+    def test_rejected_law_gives_eight_skipped_entries(self, tmp_path, capsys):
+        # Gamma(0.5) has an unbounded density, which the grid pipeline rejects
+        gamma = {"kind": "gamma", "shape": 0.5, "scale": 1.0}
+        cfg = self.inverse_config(tmp_path, corpus=[
+            gamma, {"kind": "gaussian", "mean": 0.0, "variance": 1.0}])
+        assert main(["inverse", "--config", cfg]) == 0
+        assert "8 skipped" in capsys.readouterr().err
+        entries = json.loads((tmp_path / "report.json").read_text())["checks"]
+        rejected, gaussian = entries[:8], entries[8:]
+        assert [e["check_id"] for e in rejected] == [e["check_id"] for e in gaussian] \
+            == list(INVERSE_CHECK_IDS)
+        assert all(e["verdict"] == "skipped" for e in rejected)
+        assert all(e["note"].startswith("GridError: ") for e in rejected)
+        assert all(e["inputs"] == [gamma] for e in rejected)
+        assert not any(e["verdict"] == "skipped" for e in gaussian)
 
     def test_pool_report_equals_serial_report(self, tmp_path, capsys):
         reports = []

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -24,6 +25,7 @@ from entrolab.distributions import (
 )
 from entrolab import poincare
 from entrolab.checks import default_corpus, inverse_theorem_check
+from entrolab.cli import main
 from entrolab.grids import discretize
 from entrolab.poincare import poincare_constant, spectral_poincare
 
@@ -83,6 +85,23 @@ def test_make_model_round_trip():
     assert u.moments().variance == pytest.approx(1.0 / 12.0)
 
 
+GAUSSIAN = {"kind": "gaussian", "mean": 0, "variance": 1}
+
+# specs that break the parameter contract: each once crashed a run or ran as another law
+CONTRACT_BREAKS = [
+    {"kind": "laplace", "location": float("nan"), "scale": 1},
+    {"kind": "gamma", "shape": float("inf"), "scale": 1},
+    {"kind": "exponential", "rate": 1, "shift": float("inf")},
+    {"kind": "exponential", "rate": 1, "reflected": "no"},
+    {"kind": "gaussian", "mean": True, "variance": 1},
+    {"kind": "gaussian", "mean": "0", "variance": 1},
+    {"kind": "uniform", "lower": 0, "upper": None},
+    {"kind": "exponential", "rate": 1, "shfit": 2},
+    {"kind": "mixture", "weights": [1.0]},
+    {"kind": "mixture", "weights": 5, "components": [GAUSSIAN]},
+]
+
+
 @pytest.mark.parametrize("bad", [
     {"kind": "gaussian", "mean": 0, "variance": -1},
     {"kind": "gaussian", "mean": 0, "variance": 0},
@@ -93,10 +112,51 @@ def test_make_model_round_trip():
     {"kind": "mixture", "weights": [0.5, 0.6],
      "components": [{"kind": "gaussian", "mean": 0, "variance": 1}] * 2},
     {"kind": "frobnicate"},
-])
+] + CONTRACT_BREAKS)
 def test_make_model_rejects_bad_specs(bad):
     with pytest.raises(ModelError):
         make_model(bad)
+
+
+@pytest.mark.parametrize("bad", CONTRACT_BREAKS)
+def test_bad_corpus_spec_exits_2_at_load(bad, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, "checks": ["lower_bound"], "corpus": [bad]}))
+    assert main(["check", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: bad corpus model spec" in captured.err
+    assert captured.out == ""
+
+
+ROUND_TRIP_LAWS = [
+    Gaussian(-1.5, 2.0),
+    Gaussian(0, 1),
+    Uniform(-2.0, 0.5),
+    Exponential(1.5),
+    Exponential(1.5, shift=-0.75),
+    Exponential(1.5, reflected=True),
+    Exponential(0.4, shift=2.0, reflected=True),
+    Laplace(0.3, 1.2),
+    Gamma(2.5, 0.5),
+    Gamma(0.5, 2.0, shift=1.0),
+    Gamma(3.0, 1.0, reflected=True),
+    Gamma(3.0, 1.0, shift=-4.0, reflected=True),
+    Mixture((0.25, 0.75), (Uniform(0.0, 1.0), Exponential(2.0, shift=1.0, reflected=True))),
+    Mixture((0.5, 0.5), (Gaussian(0.0, 1.0),
+                         Mixture((0.5, 0.5), (Laplace(0.0, 1.0), Gamma(2.0, 1.0))))),
+]
+
+
+@pytest.mark.parametrize("m", ROUND_TRIP_LAWS, ids=repr)
+def test_to_dict_round_trips_through_json(m):
+    spec = m.to_dict()
+    assert make_model(spec) == m
+    assert make_model(json.loads(json.dumps(spec))) == m
+    # defaults are left out, so a spec names only what differs from them
+    assert "shift" not in spec or spec["shift"] != 0.0
+    assert spec.get("reflected", True) is True
+    mirrored = m.affine(-2.0, 0.5)
+    assert make_model(mirrored.to_dict()) == mirrored
 
 
 def test_mixture_weight_renormalization_within_tolerance():
