@@ -10,6 +10,11 @@ err propagates term by term through each check's own arithmetic; the group
 backend's err is 0.  Mutual-information quantities are entropy differences of
 independent-sum laws (I(X+Y;Y) = h(X+Y) - h(X)), keeping everything
 one-dimensional.
+
+Verdicts are decided coarse first (lazy precision): a ``GridContext`` of
+``count`` cells has a coarse sibling of ``count // REFINE_RATIO`` cells, and
+``decide`` evaluates on it first and again on the context itself only when
+an entry is undecided there.
 """
 
 from __future__ import annotations
@@ -23,15 +28,18 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import grids
-from .distributions import DensityModel, Exponential, Gaussian, Laplace, Mixture, Uniform
+from .distributions import (DensityModel, Exponential, Gaussian, Laplace, Mixture, ModelError,
+                            Uniform)
 from .poincare import poincare_constant
-from .report import InequalityReport, make_report, skipped
+from .report import HOLDS, VIOLATED, InequalityReport, make_report, skipped
 
 __all__ = [
     "Approx",
     "CheckDef",
     "RuzsaFunctionals",
     "GridContext",
+    "REFINE_RATIO",
+    "decide",
     "REGISTRY",
     "CHECKS",
     "run_check",
@@ -48,6 +56,9 @@ LN2 = math.log(2.0)
 # leaves off a sum's step whose grids span fewer cells enter by characteristic function
 NARROW = 16
 DEGENERATE = "degenerate denominator"
+# a verdict is decided at count // REFINE_RATIO cells first, then refined at count
+REFINE_RATIO = 8
+_DECIDED = (HOLDS, VIOLATED)
 
 
 class Approx(NamedTuple):
@@ -90,6 +101,22 @@ class GridContext:
         self.window_sigmas = window_sigmas
         self._grids: dict[str, grids.GridDensity] = {}
         self._entropies: dict[tuple, Approx] = {}
+        self._coarse: GridContext | None = None
+
+    @property
+    def ladder(self) -> tuple[GridContext, ...]:
+        """The contexts a verdict is decided on, coarsest first.
+
+        These are the coarse sibling of ``count // REFINE_RATIO`` cells,
+        built on first use and kept, then this context.  There is no coarse
+        sibling when it would have fewer than ``grids.MIN_COUNT`` cells.
+        """
+        coarse = self.count // REFINE_RATIO
+        if coarse < grids.MIN_COUNT:
+            return (self,)
+        if self._coarse is None:
+            self._coarse = GridContext(coarse, self.window_sigmas)
+        return (self._coarse, self)
 
     def grid(self, m: DensityModel) -> grids.GridDensity:
         key = m.content_key
@@ -138,6 +165,28 @@ class GridContext:
         if key not in self._entropies:
             self._entropies[key] = Approx(*grids.entropy(self.sum_grid(terms)))
         return self._entropies[key]
+
+
+def decide(ctx: GridContext, evaluate: Callable[[GridContext], list[InequalityReport]],
+           rejected: Callable[[str], list[InequalityReport]]) -> list[InequalityReport]:
+    """Each entry of ``evaluate(rung)`` from the first rung of ``ctx.ladder`` that decides it.
+
+    evaluate gives the same entries, in the same order, on every rung.  It
+    runs on the next rung only while an entry is inconclusive or skipped; an
+    entry no rung decides comes from ``ctx`` itself.  A law the grid
+    pipeline rejects (GridError or ModelError) gives a rung the entries
+    ``rejected(note)``.
+    """
+    out: list[InequalityReport] = []
+    for rung in ctx.ladder:
+        try:
+            reports = evaluate(rung)
+        except (grids.GridError, ModelError) as e:
+            reports = rejected(f"{type(e).__name__}: {e}")
+        out = [a if a.verdict in _DECIDED else b for a, b in zip(out, reports)] if out else reports
+        if all(r.verdict in _DECIDED for r in out):
+            break
+    return out
 
 
 def _term_key(term: tuple[int, DensityModel]) -> tuple[str, int]:
@@ -479,15 +528,28 @@ def inverse_theorem_check(
     standardized-sum contraction bound, and the Pinsker bound.  The
     Poincare-dependent reports are marked skipped when no constant is
     available.  extra_err widens every error band, as in ``run_check``.
+
+    The bundle is decided coarse first (``decide``): each entry reports the
+    grid count that decided it.  The Poincare constant depends on the law
+    alone, so it is computed once, on first use, for every rung.  A law the
+    grid pipeline rejects gives eight skipped entries.
     """
     ctx = ctx or GridContext()
+    echo = (m.to_dict(),)
+    poincare = functools.cache(lambda: poincare_constant(m))
+    return decide(ctx, lambda rung: _inverse_bundle(m, rung, poincare, extra_err, echo),
+                  lambda note: [skipped(cid, note, inputs=echo) for cid in INVERSE_CHECK_IDS])
+
+
+def _inverse_bundle(m: DensityModel, ctx: GridContext, poincare: Callable[[], float | None],
+                    extra_err: float, echo: tuple) -> list[InequalityReport]:
+    """The eight entries of the inverse bundle on one grid count."""
     d_plus, d_minus = _deltas(ctx.entropy, m)
     g = ctx.grid(m)
     phi = grids.gaussian_fit(g)
     div = Approx(*grids.kl_divergence(g, phi))
     l1 = grids.l1_distance(g, phi)
     var = g.moments.variance
-    echo = (m.to_dict(),)
     side = functools.partial(_side_report, extra_err=extra_err, inputs=echo)
     half_ln2 = Approx(0.5 * LN2)
     reports = [
@@ -498,7 +560,7 @@ def inverse_theorem_check(
         side("inverse_pinsker", Approx(0.5 * l1 * l1, l1 * g.error_estimate), div),
     ]
 
-    r = poincare_constant(m)
+    r = poincare()
     if r is None:
         note = "Poincare constant unavailable (oracle did not converge)"
         return reports + [skipped(cid, note, inputs=echo) for cid in INVERSE_CHECK_IDS[-3:]]

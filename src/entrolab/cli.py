@@ -10,7 +10,9 @@ is given).  Flags given on the command line take the place of the config's
 fields.
 
 Exit status: 0 when no check is violated, 1 when at least one is, 2 on
-configuration or usage errors and when the output file cannot be written.
+configuration or usage errors and when the output file cannot be written;
+an output path whose directory is missing or not writable is rejected
+before any work is done.
 A suite report (check, discrete, inverse) in which every entry is skipped
 also exits 2, with "error: every entry was skipped" on stderr; a report
 with only some entries skipped keeps the exit status above and prints its
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, fields, replace
 
@@ -177,6 +180,8 @@ def _run(config: SuiteConfig, args) -> int:
 
     A report with nothing but skipped entries is an error.
     """
+    if not _writable(config.output_path):
+        return EXIT_USAGE
     report = run_suite(config)
     if not _emit(serialize_report(report, config.output_format), config.output_path):
         return EXIT_USAGE
@@ -192,6 +197,23 @@ def _run(config: SuiteConfig, args) -> int:
         print("error: every entry was skipped", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_VIOLATED if counts["violated"] else EXIT_OK
+
+
+def _writable(path: str | None) -> bool:
+    """False, with the reason on stderr, when path's directory is missing or not writable."""
+    if not path:
+        return True
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        reason = f"no directory {directory}"
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        reason = f"directory {directory} is not writable"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    else:
+        return True
+    print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+    return False
 
 
 def _emit(text: str, path: str | None, what: str = "") -> bool:
@@ -230,6 +252,8 @@ def _cmd_bsg(args) -> int:
         print("error: provide --rho or --sweep", file=sys.stderr)
         return EXIT_USAGE
 
+    if not _writable(args.out):
+        return EXIT_USAGE
     scenarios = []
     weak = []
     for rho in rhos:

@@ -7,6 +7,7 @@ dimension the neighbor search reduces to a sort plus a windowed scan.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,6 +38,7 @@ class EstimateResult:
     k: int
 
 
+@functools.cache
 def _psi_gap(n: int, k: int) -> float:
     """digamma(n) - digamma(k) for integers n >= k >= 1: sum_{j=k}^{n-1} 1/j."""
     return float(np.sum(1.0 / np.arange(k, n)))

@@ -1,7 +1,7 @@
 """Suite configuration, orchestration and machine-readable reporting.
 
 A suite run draws a seeded corpus, executes the selected check families
-(optionally split over a process pool in fixed strides, two GridContexts per
+(optionally split over a process pool in fixed strides, one GridContext per
 process), and assembles a deterministic report: rerunning with the same
 config and seed reproduces the serialized report byte for byte.  Per-family
 wall-clock timings are collected for the console summary but kept out of
@@ -10,9 +10,11 @@ the serialized report to preserve that guarantee.
 A family is a grid check of the registry, an exact group check, or
 ``inverse``, the inverse-theorem bundle run once per corpus law; its
 entries follow the order of the config's ``checks``.  Each trial of a grid
-check runs on the coarse context (``grid_count // REFINE_RATIO`` cells)
-first and again on the fine one (``grid_count``) only when that verdict is
-inconclusive or skipped; its entry reports the count that decided it.
+check and each law's inverse bundle is decided coarse first
+(``checks.decide``): on the context's coarse sibling of
+``grid_count // checks.REFINE_RATIO`` cells, and again at ``grid_count``
+only when an entry is inconclusive or skipped there.  Each entry reports
+the count that decided it.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .checks import (CHECKS, INVERSE_CHECK_IDS, GridContext, default_corpus,
-                     inverse_theorem_check, run_check)
+from .checks import CHECKS, GridContext, decide, default_corpus, inverse_theorem_check, run_check
 from .discrete import (
     DISCRETE_CHECK_IDS,
     GROUP_CHECKS,
@@ -41,17 +41,13 @@ from .discrete import (
     DiscreteJoint,
 )
 from .distributions import DensityModel, ModelError, is_finite_number, make_model
-from .grids import MAX_COUNT, MIN_COUNT, GridError
+from .grids import MAX_COUNT, MIN_COUNT
 from .report import InequalityReport, skipped
 
 __all__ = ["ConfigError", "SuiteConfig", "SuiteReport", "load_config", "run_suite",
            "serialize_report"]
 
 SCHEMA_VERSION = 1
-
-# a grid check runs on grid_count // REFINE_RATIO cells first, then on grid_count
-REFINE_RATIO = 8
-_DECIDED = ("holds", "violated")
 
 _DISCRETE_PREFIXED = tuple(f"discrete.{cid}" for cid in DISCRETE_CHECK_IDS)
 # appended last: a discrete job's draws are salted by its id's index here
@@ -270,25 +266,21 @@ def _trial_rng(seed: int, family_index: int, variant_index: int, salt: int = 0):
 
 
 def _run_jobs(jobs, grid) -> list[tuple[list[InequalityReport], float]]:
-    """Run (job, args) pairs in order on two contexts: (reports, seconds) per job.
+    """Run (job, args) pairs in order on one context: (reports, seconds) per job.
 
-    The contexts are GridContext(count // REFINE_RATIO) and GridContext(count)
-    for grid = (count, window_sigmas), coarsest first; only the second is
-    built when the first would have fewer than MIN_COUNT cells.
+    The context is GridContext(*grid) for grid = (count, window_sigmas);
+    every job shares it and its coarse sibling.
     """
-    count, window_sigmas = grid
-    coarse = count // REFINE_RATIO
-    ladder = [GridContext(c, window_sigmas)
-              for c in ([coarse, count] if coarse >= MIN_COUNT else [count])]
+    ctx = GridContext(*grid)
     out = []
     for job, args in jobs:
         t0 = time.perf_counter()
-        out.append((job(args, ladder), time.perf_counter() - t0))
+        out.append((job(args, ctx), time.perf_counter() - t0))
     return out
 
 
-def _continuous_job(args, ladder) -> list[InequalityReport]:
-    """Trials of one grid check variant; each trial reports the first context that decides it."""
+def _continuous_job(args, ctx) -> list[InequalityReport]:
+    """Trials of one grid check variant; each trial reports the first rung that decides it."""
     config, check_id, variant_index, models = args
     check = CHECKS[check_id]
     params = check.variants[variant_index]
@@ -299,30 +291,21 @@ def _continuous_job(args, ladder) -> list[InequalityReport]:
     out = []
     for trial in range(n_trials):
         picks = [models[int(i)] for i in rng.integers(0, len(models), arity)]
-        for ctx in ladder:
-            try:
-                rep = run_check(check, picks, ctx, dict(params), extra_err=extra)
-            except (GridError, ModelError) as e:  # a law the pipeline rejects: skipped entry
-                rep = skipped(check_id, f"{type(e).__name__}: {e}", dict(params),
-                              tuple(m.to_dict() for m in picks))
-            if rep.verdict in _DECIDED:
-                break
-        out.append(rep)
+        out += decide(ctx, lambda rung: [run_check(check, picks, rung, dict(params),
+                                                   extra_err=extra)],
+                      lambda note: [skipped(check_id, note, dict(params),
+                                            tuple(m.to_dict() for m in picks))])
     return out
 
 
-def _inverse_job(args, ladder) -> list[InequalityReport]:
-    """The inverse bundle of one law, on the fine context only; a rejected law skips all of it."""
+def _inverse_job(args, ctx) -> list[InequalityReport]:
+    """The inverse bundle of one law, decided coarse first; a rejected law skips all of it."""
     config, m = args
-    try:
-        return inverse_theorem_check(m, ladder[-1], float(config.tolerances.get("inverse", 0.0)))
-    except (GridError, ModelError) as e:
-        note = f"{type(e).__name__}: {e}"
-        return [skipped(cid, note, inputs=(m.to_dict(),)) for cid in INVERSE_CHECK_IDS]
+    return inverse_theorem_check(m, ctx, float(config.tolerances.get("inverse", 0.0)))
 
 
-def _discrete_job(args, ladder) -> list[InequalityReport]:
-    """Trials of one exact group check; the ladder is unused, as groups need no grid."""
+def _discrete_job(args, ctx) -> list[InequalityReport]:
+    """Trials of one exact group check; the context is unused, as groups need no grid."""
     config, check_id = args
     rng = _trial_rng(config.seed, 1000, 0, salt=VALID_CHECK_IDS.index(check_id))
     order = config.discrete_group_order
@@ -377,7 +360,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     t0 = time.perf_counter()
     if workers > 1:
-        # worker i runs jobs i, i + w, i + 2w, ... on its own GridContexts, so
+        # imported here, so that a serial run does not load the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        # worker i runs jobs i, i + w, i + 2w, ... on its own GridContext, so
         # each worker's work is fixed by the config and the worker count
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shares = pool.map(_run_jobs, [work[i::workers] for i in range(workers)],

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from entrolab import suite
+from entrolab import checks, cli, grids, suite
 from entrolab.checks import CHECKS, INVERSE_CHECK_IDS
 from entrolab.cli import ExpressionError, main, parse_expression
 from entrolab.distributions import Exponential, Gaussian, Uniform, make_model
@@ -206,6 +206,20 @@ class TestCheckCommand:
         assert f"error: cannot write {path}" in err
         assert "summary:" not in err
 
+    @pytest.mark.parametrize("command", ["check", "inverse", "discrete"])
+    @pytest.mark.parametrize("target,reason", [("missing_dir/report.json", "no directory"),
+                                               ("", "it is a directory")])
+    def test_unwritable_output_path_fails_before_the_suite_runs(self, tmp_path, monkeypatch,
+                                                                capsys, command, target, reason):
+        def never(config):
+            raise AssertionError("run_suite called")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        path = str(tmp_path / target)
+        flags = ["--seed", "1"] if command == "discrete" else ["--config", write_config(tmp_path)]
+        assert main([command, *flags, "--out", path]) == 2
+        assert f"error: cannot write {path}: {reason}" in capsys.readouterr().err
+
     def test_good_window_and_workers_accepted(self):
         config = config_from_dict({"seed": 1, "numerics": {"window_sigmas": 8},
                                    "workers": 3})
@@ -279,7 +293,7 @@ class TestCheckCommand:
                         reason="workers see the patched class only when forked")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_grid_context_per_worker(self, tmp_path, monkeypatch, workers):
-        # one context per worker at each count: the coarse one and the fine one
+        # one context per worker, at grid_count; its coarse sibling is built inside checks
         log = tmp_path / "contexts"
 
         class CountedContext(suite.GridContext):
@@ -296,9 +310,7 @@ class TestCheckCommand:
         built = [line.split() for line in log.read_text().splitlines()]
         pids = {pid for pid, _ in built}
         assert len(pids) == workers
-        fine = config.grid_count
-        assert sorted(built) == sorted([pid, str(count)] for pid in pids
-                                       for count in (fine // suite.REFINE_RATIO, fine))
+        assert sorted(built) == sorted([pid, str(config.grid_count)] for pid in pids)
 
     def test_full_registry_reports_all_families(self, tmp_path, capsys):
         cfg = write_config(tmp_path, checks="all", corpus_size=8)
@@ -315,7 +327,7 @@ class TestCheckCommand:
         reports = run_suite(config).reports
         # rejected at both counts, each trial gives one entry, not one per count
         assert [r.verdict for r in reports] == ["skipped", "skipped"]
-        coarse = config.grid_count // suite.REFINE_RATIO
+        coarse = config.grid_count // checks.REFINE_RATIO
         assert counts == [coarse, config.grid_count] * 2
         assert all(r.note.startswith("GridError: ") for r in reports)
         # the entry names the law it rejected
@@ -365,7 +377,7 @@ class TestCoarseFirst:
         """The default suite at seed 20240501 with every check run at grid_count only."""
         with pytest.MonkeyPatch.context() as mp:
             # a ratio that leaves no coarse count of at least MIN_COUNT cells
-            mp.setattr(suite, "REFINE_RATIO", 1 << 14)
+            mp.setattr(checks, "REFINE_RATIO", 1 << 14)
             return run_suite(config_from_dict({"seed": 20240501, "workers": 1}))
 
     def test_coarse_verdicts_and_sides_agree_with_the_fine_count(self, default_suite,
@@ -387,7 +399,7 @@ class TestCoarseFirst:
         config = config_from_dict({"seed": 20240501, "workers": 1, "corpus_size": 30,
                                    "checks": ["epi_doubling", "plunnecke_ruzsa"]})
         reports = run_suite(config).reports
-        coarse = config.grid_count // suite.REFINE_RATIO
+        coarse = config.grid_count // checks.REFINE_RATIO
         calls = iter(counts)
         for r in reports:
             assert next(calls) == coarse
@@ -405,6 +417,77 @@ class TestCoarseFirst:
         assert sorted(set(counts)) == ladder
         if len(ladder) == 1:  # one call per entry: every check runs once, at grid_count
             assert len(counts) == len(reports)
+
+
+class TestInverseCoarseFirst:
+    """Each inverse entry is decided at grid_count // REFINE_RATIO first and refined if undecided."""
+
+    RAW = {"seed": 20240501, "workers": 1, "corpus_size": 40, "checks": ["inverse"]}
+    # a mixture with an entry that only the fine count decides
+    MIXTURE = {"kind": "mixture", "weights": [0.35, 0.65],
+               "components": [{"kind": "gaussian", "mean": -1.12, "variance": 2.84},
+                              {"kind": "gaussian", "mean": -1.73, "variance": 3.51}]}
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """The cell counts of the leaf grids built, one per (law, count)."""
+        seen = []
+        discretize = grids.discretize
+
+        def recorded(m, window_sigmas, count):
+            seen.append(count)
+            return discretize(m, window_sigmas, count)
+
+        monkeypatch.setattr(grids, "discretize", recorded)
+        return seen
+
+    def test_coarse_verdicts_and_sides_agree_with_the_fine_count(self, monkeypatch):
+        coarse_first = run_suite(config_from_dict(self.RAW)).reports
+        monkeypatch.setattr(checks, "REFINE_RATIO", 1 << 14)
+        fine = run_suite(config_from_dict(self.RAW)).reports
+        assert len(coarse_first) == len(fine) == 8 * 40
+        refined = decided_coarse = 0
+        for a, b in zip(coarse_first, fine):
+            assert (a.check_id, a.inputs) == (b.check_id, b.inputs)
+            assert a.verdict == b.verdict
+            if a == b:  # refined: the fine run's entry
+                refined += 1
+                continue
+            assert a.verdict in ("holds", "violated") and a.err > b.err
+            decided_coarse += 1
+            # 0.60 of the bound at most at this seed
+            for side_a, side_b in ((a.lhs, b.lhs), (a.rhs, b.rhs)):
+                assert abs(side_a - side_b) <= a.err + b.err, (a.check_id, a.inputs)
+        assert refined and decided_coarse
+
+    def test_law_decided_at_the_coarse_count_never_reaches_the_fine_count(self, counts):
+        ctx = checks.GridContext()
+        reports = checks.inverse_theorem_check(Exponential(1.0), ctx)
+        assert {r.verdict for r in reports} == {"holds"}
+        assert set(counts) == {ctx.count // checks.REFINE_RATIO}
+
+    def test_undecided_law_is_refined(self, counts):
+        ctx = checks.GridContext()
+        reports = checks.inverse_theorem_check(make_model(self.MIXTURE), ctx)
+        assert {r.verdict for r in reports} == {"holds"}
+        assert counts == [ctx.count // checks.REFINE_RATIO, ctx.count]
+
+    def test_poincare_constant_is_computed_once_per_law(self, monkeypatch, counts):
+        calls = []
+        poincare_constant = checks.poincare_constant
+
+        def recorded(m):
+            calls.append(m.content_key)
+            return poincare_constant(m)
+
+        monkeypatch.setattr(checks, "poincare_constant", recorded)
+        corpus = [self.MIXTURE, {"kind": "gaussian", "mean": 0.0, "variance": 2.0},
+                  {"kind": "laplace", "location": 0.5, "scale": 1.0}]
+        run_suite(config_from_dict({"seed": 1, "workers": 1, "checks": ["inverse"],
+                                    "corpus": corpus}))
+        assert calls == [make_model(spec).content_key for spec in corpus]
+        # the mixture and the Gaussian law reach the fine count, the Laplace law does not
+        assert counts.count(1 << 14) == 2
 
 
 class TestBsgCommand:
@@ -504,10 +587,13 @@ class TestInverseSuiteFamily:
         assert [c["inputs"][0] for c in data["checks"][::8]] == json.loads(json.dumps(laws))
 
     def test_tolerance_widens_every_inverse_err(self):
-        raw = {"seed": 5, "workers": 1, "corpus_size": 4, "checks": ["inverse"]}
+        # at 1024 cells there is no coarse rung, so a wider err cannot change
+        # the count an entry is decided at, and lhs and rhs stay put
+        raw = {"seed": 5, "workers": 1, "corpus_size": 4, "checks": ["inverse"],
+               "numerics": {"grid_count": 1024}}
         plain = run_suite(config_from_dict(raw)).reports
         wide = run_suite(config_from_dict(
-            {**raw, "numerics": {"tolerances": {"inverse": 0.25}}})).reports
+            {**raw, "numerics": {"grid_count": 1024, "tolerances": {"inverse": 0.25}}})).reports
         assert len(plain) == len(wide) == 8 * 4
         for a, b in zip(plain, wide):
             assert (a.check_id, a.lhs, a.rhs) == (b.check_id, b.lhs, b.rhs)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from entrolab import grids
-from entrolab.checks import GridContext
+from entrolab.checks import REFINE_RATIO, GridContext
 from entrolab.distributions import Exponential, Gaussian, Gridded, Laplace, Mixture, Uniform
 from entrolab.grids import (
     MIN_COUNT,
@@ -28,7 +28,6 @@ from entrolab.grids import (
     reflect,
     resample,
 )
-from entrolab.suite import REFINE_RATIO
 
 LN_2PI_E = math.log(2 * math.pi * math.e)
 EULER_GAMMA = float(np.euler_gamma)
@@ -344,15 +343,26 @@ class TestFftLength:
         assert _SMOOTH[bisect.bisect_left(_SMOOTH, n)] == m
 
 
+def _modules_after_import(condition: str) -> str:
+    """The modules m meeting condition once a fresh interpreter imports entrolab and its CLI."""
+    src = os.path.dirname(os.path.dirname(grids.__file__))
+    code = ("import sys, entrolab, entrolab.cli; "
+            f"print(sorted(m for m in sys.modules if {condition}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    return out.stdout.strip()
+
+
 def test_import_loads_no_fft_or_interpolation_module():
     # no scipy module at all: the catalog's special functions are in
     # entrolab._special and the Poincare oracle is numpy-only
-    src = os.path.dirname(os.path.dirname(grids.__file__))
-    code = ("import sys, entrolab, entrolab.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _modules_after_import("m.startswith('scipy')") == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # a serial run never needs the pool, so only run_suite's pool branch imports it
+    assert _modules_after_import("m.startswith('multiprocessing') "
+                                 "or m == 'concurrent.futures.process'") == "[]"
 
 
 class TestTransformCount:
