@@ -4,7 +4,8 @@ Everything here is exhaustive computation on dense probability tables, so
 checks are exact up to 1e-12 float accumulation: there is no numerical
 error band to argue about, and identities must land on the nose.  The
 sumset checks are the ones registered in ``entrolab.checks``, run on the
-group backend ``_group_entropy``, which folds ``sum_pmf`` and
+group backend ``_group_entropy``, which folds raw probability vectors
+through the same gathers and renormalizations as ``sum_pmf`` and
 ``reflect_pmf``.  This is also where the results live that are true for
 Shannon entropy but fail for differential entropy (``sum_upper``,
 functional submodularity, the covering identity).
@@ -12,6 +13,7 @@ functional submodularity, the covering identity).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,14 +55,7 @@ class DiscretePmf:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (self.group_order,):
             raise ValueError("probs length must equal the group order")
-        if np.any(p < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}")
-        if total <= 0.0:
-            raise ValueError("empty support")
-        p = p / total
+        p = _normalized(p)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -81,12 +76,9 @@ class DiscreteJoint:
         t = np.asarray(self.table, dtype=float)
         if t.shape != tuple(self.dims):
             raise ValueError("table shape must match dims")
-        if np.any(t < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        total = float(t.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"table sums to {total}")
-        t = t / total
+        if t.size == 0:
+            raise ValueError("table is empty")
+        t = _normalized(t, "table entries")
         t.flags.writeable = False
         object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "table", t)
@@ -101,9 +93,26 @@ class DiscreteJoint:
         return np.transpose(out, perm)
 
 
+def _normalized(p: np.ndarray, what: str = "probabilities") -> np.ndarray:
+    """p / p.sum() after checking that p is a finite, nonnegative law.
+
+    Every stored law goes through here: a drawn ``DiscretePmf``, a joint
+    table, and each intermediate of the group backend's fold.  A NaN fails
+    both comparisons, so one min and one sum screen every entry.
+    """
+    total = p.sum()
+    if not (p.min() >= 0.0 and abs(total - 1.0) <= 1e-9):
+        if not np.isfinite(p).all():
+            raise ValueError(f"{what}: {np.count_nonzero(~np.isfinite(p))} non-finite entries")
+        if p.min() < 0.0:
+            raise ValueError(f"{what} must be nonnegative")
+        raise ValueError(f"{what} sum to {float(total)}")
+    return p / total
+
+
 def _entropy_of(p: np.ndarray) -> float:
     p = p[p > 0.0]
-    return float(-np.sum(p * np.log(p)))
+    return float(-(p * np.log(p)).sum())
 
 
 def discrete_entropy(j: DiscreteJoint, axes: Sequence[int] | None = None) -> float:
@@ -123,16 +132,24 @@ def sum_pmf(p: DiscretePmf, q: DiscretePmf) -> DiscretePmf:
     """
     if p.group_order != q.group_order:
         raise ValueError("group orders differ")
-    n = p.group_order
-    idx = np.arange(n)
-    rows = q.probs[(idx[:, None] - idx[None, :]) % n]
-    out = np.array([np.dot(p.probs, row) for row in rows])
-    return DiscretePmf(n, out)
+    return DiscretePmf(p.group_order, _convolve(p.probs, q.probs))
 
 
 def reflect_pmf(p: DiscretePmf) -> DiscretePmf:
     """Law of -X (mod n)."""
-    return DiscretePmf(p.group_order, np.roll(p.probs[::-1], 1))
+    return DiscretePmf(p.group_order, p.probs[_gathers(p.group_order)[0]])
+
+
+@functools.cache
+def _gathers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of order n: (-x) mod n, and (s - x) mod n by row s."""
+    idx = np.arange(n)
+    return (-idx) % n, (idx[:, None] - idx[None, :]) % n
+
+
+def _convolve(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unnormalized law of X + Y on raw vectors: p . q[(s - x) mod n] per row s."""
+    return np.array([np.dot(p, row) for row in q[_gathers(len(p))[1]]])
 
 
 def difference_pmf(p: DiscretePmf, q: DiscretePmf) -> DiscretePmf:
@@ -223,12 +240,18 @@ def check_covering_lemma(p: DiscretePmf, q: DiscretePmf,
 
 
 def _group_entropy(*terms: tuple[int, DiscretePmf]) -> Approx:
-    """Exact entropy of a signed sum of independent pmfs, folded left to right."""
+    """Exact entropy of a signed sum of independent pmfs, folded left to right.
+
+    The fold runs on raw vectors with the arithmetic of ``reflect_pmf`` and
+    ``sum_pmf``, each step renormalized by ``_normalized`` as a
+    ``DiscretePmf`` would be, so it gives their floats bit for bit without
+    building a ``DiscretePmf`` per step.
+    """
     out = None
     for sign, p in terms:
-        p = p if sign > 0 else reflect_pmf(p)
-        out = p if out is None else sum_pmf(out, p)
-    return Approx(out.entropy(), 0.0)
+        v = p.probs if sign > 0 else _normalized(p.probs[_gathers(p.group_order)[0]])
+        out = v if out is None else _normalized(_convolve(out, v))
+    return Approx(_entropy_of(out), 0.0)
 
 
 GROUP_CHECKS: dict[str, CheckDef] = {c.id: c for c in REGISTRY if c.group}

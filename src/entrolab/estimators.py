@@ -81,6 +81,9 @@ def knn_entropy(samples: Sequence[float], k: int = DEFAULT_K) -> EstimateResult:
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = len(x)
+    bad = n - np.count_nonzero(np.isfinite(x))
+    if bad:
+        raise ValueError(f"{bad} of {n} samples are not finite")
     if n < 50:
         raise ValueError(f"need at least 50 samples, got {n}")
     if not 1 <= k <= n - 1:

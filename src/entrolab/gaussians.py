@@ -40,9 +40,14 @@ class DegenerateSubsetError(ValueError):
 
 
 def _nonsingular_eigs(mat: np.ndarray, what: str) -> np.ndarray:
-    """Ascending eigenvalues of a covariance block; raises when the block is singular."""
+    """Ascending eigenvalues of a covariance block; raises when the block is singular.
+
+    The 0 x 0 block of an empty label set has no eigenvalues and is not
+    singular: its log-determinant is 0, so h of nothing is 0 and
+    conditioning on nothing leaves a law unchanged.
+    """
     eigs = np.linalg.eigvalsh(mat)
-    if eigs[0] <= _SINGULAR_RTOL * max(1.0, eigs[-1]):
+    if len(eigs) and eigs[0] <= _SINGULAR_RTOL * max(1.0, eigs[-1]):
         raise DegenerateSubsetError(f"degenerate subset: {what} is singular")
     return eigs
 
@@ -64,8 +69,8 @@ class GaussianVector:
             raise ValueError("variable names must be unique")
         if mean.shape != (k,) or cov.shape != (k, k):
             raise ValueError("mean/cov shapes must match the name list")
-        asym = float(np.max(np.abs(cov - cov.T), initial=0.0))
-        scale = float(np.max(np.abs(cov), initial=1.0))
+        asym = float(np.abs(cov - cov.T).max(initial=0.0))
+        scale = float(np.abs(cov).max(initial=1.0))
         if asym > 1e-12 * max(1.0, scale):
             raise ValueError(f"covariance asymmetric by {asym:.3g}")
         cov = 0.5 * (cov + cov.T)
@@ -80,6 +85,8 @@ class GaussianVector:
                 cov = 0.5 * (cov + cov.T)
         mean.flags.writeable = False
         cov.flags.writeable = False
+        # label -> position, read by _idx
+        object.__setattr__(self, "_pos", {lb: i for i, lb in enumerate(names)})
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -88,17 +95,17 @@ class GaussianVector:
 
     def _idx(self, labels: Sequence[str]) -> np.ndarray:
         try:
-            return np.array([self.names.index(lb) for lb in labels], dtype=int)
-        except ValueError:
-            unknown = [lb for lb in labels if lb not in self.names]
+            return np.array([self._pos[lb] for lb in labels], dtype=int)
+        except KeyError:
+            unknown = [lb for lb in labels if lb not in self._pos]
             raise KeyError(f"unknown labels {unknown}") from None
 
     def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self.cov[np.ix_(rows, cols)]
+        return self.cov[rows[:, None], cols]
 
     @staticmethod
     def _logdet_pd(mat: np.ndarray, what: str) -> float:
-        return float(np.sum(np.log(_nonsingular_eigs(mat, what))))
+        return float(np.log(_nonsingular_eigs(mat, what)).sum())
 
     def _bordered(self, name: str, mean: float, row: np.ndarray, var: float) -> "GaussianVector":
         """This vector with one more coordinate: its mean, covariance row and variance."""
@@ -152,8 +159,7 @@ class GaussianVector:
     def with_linear(self, name: str, coeffs: dict[str, float]) -> "GaussianVector":
         """Append the exact linear combination sum(coeffs[v] * v)."""
         c = np.zeros(len(self.names))
-        for lb, w in coeffs.items():
-            c[self.names.index(lb)] = w
+        c[self._idx(list(coeffs))] = list(coeffs.values())
         row = self.cov @ c
         return self._bordered(name, float(c @ self.mean), row, float(c @ row))
 
@@ -259,9 +265,8 @@ def _minimal_log_k(v: GaussianVector) -> tuple[float, tuple[float, float], tuple
     return log_k, condition_mi, condition_sum
 
 
-def _bsg_chain(rho: float) -> GaussianVector:
-    """Markov chain X2 -- Y -- X1 -- Y' with all adjacent pairs distributed as (X, Y)."""
-    v = _correlated_pair(rho)
+def _bsg_chain(v: GaussianVector) -> GaussianVector:
+    """Markov chain X2 -- Y -- X1 -- Y' with all adjacent pairs distributed as (X, Y) = v."""
     return v.extend_markov([
         ("X1", ("Y",), ("X", ("Y",))),
         ("X2", ("Y",), ("X", ("Y",))),
@@ -278,20 +283,24 @@ def run_bsg_scenario(rho: float) -> BsgScenarioReport:
     """
     v = _correlated_pair(rho)
     log_k, condition_mi, condition_sum = _minimal_log_k(v)
-    chain = _bsg_chain(rho).with_linear("S2p", {"X2": 1.0, "Yp": 1.0})
+    chain = _bsg_chain(v).with_linear("S2p", {"X2": 1.0, "Yp": 1.0})
 
     h_x = chain.joint_entropy(["X"])
     h_y = chain.joint_entropy(["Y"])
 
-    lhs_a = h_x - log_k
-    rhs_a = chain.conditional_entropy(["X2"], ["X1", "Y"])
-    lhs_b = h_y - log_k
-    rhs_b = chain.conditional_entropy(["Yp"], ["X1", "Y"])
-    lhs_c = chain.conditional_entropy(["S2p"], ["X1", "Y"])
-    rhs_c = 0.5 * h_x + 0.5 * h_y + 7.0 * log_k
+    # the five distinct h(. | X1, Y); the two conditional mutual informations
+    # share three of them, each summed as conditional_mutual_information does
+    given = ["X1", "Y"]
+    h_x2 = chain.conditional_entropy(["X2"], given)
+    h_yp = chain.conditional_entropy(["Yp"], given)
+    h_s = chain.conditional_entropy(["S2p"], given)
+    h_s_yp = chain.conditional_entropy(["S2p", "Yp"], given)
+    h_s_x2 = chain.conditional_entropy(["S2p", "X2"], given)
 
-    mi_sum = (chain.conditional_mutual_information(["S2p"], ["Yp"], ["X1", "Y"])
-              + chain.conditional_mutual_information(["S2p"], ["X2"], ["X1", "Y"]))
+    lhs_a = h_x - log_k
+    lhs_b = h_y - log_k
+    rhs_c = 0.5 * h_x + 0.5 * h_y + 7.0 * log_k
+    mi_sum = (h_s + h_yp - h_s_yp) + (h_s + h_x2 - h_s_x2)
     rhs_mi = 16.0 * log_k
 
     return BsgScenarioReport(
@@ -300,9 +309,9 @@ def run_bsg_scenario(rho: float) -> BsgScenarioReport:
         log_k=log_k,
         condition_mi=condition_mi,
         condition_sum=condition_sum,
-        conclusion_a=(lhs_a, rhs_a, rhs_a - lhs_a),
-        conclusion_b=(lhs_b, rhs_b, rhs_b - lhs_b),
-        conclusion_c=(lhs_c, rhs_c, rhs_c - lhs_c),
+        conclusion_a=(lhs_a, h_x2, h_x2 - lhs_a),
+        conclusion_b=(lhs_b, h_yp, h_yp - lhs_b),
+        conclusion_c=(h_s, rhs_c, rhs_c - h_s),
         mi_sum_bound=(mi_sum, rhs_mi, rhs_mi - mi_sum),
     )
 

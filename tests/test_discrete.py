@@ -13,6 +13,7 @@ from entrolab.discrete import (
     GROUP_CHECKS,
     DiscreteJoint,
     DiscretePmf,
+    _group_entropy,
     check_covering_lemma,
     check_discrete_registry,
     check_functional_submodularity,
@@ -50,6 +51,29 @@ class TestEntropy:
         j = DiscreteJoint((2, 2), table)
         assert discrete_entropy(j) == pytest.approx(2 * LN2, abs=1e-14)
         assert discrete_entropy(j, [0]) == pytest.approx(LN2, abs=1e-14)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("probs", [[math.nan, 0.5], [0.5, math.nan], [math.inf, 0.0],
+                                       [math.nan, math.nan, 1.0]])
+    def test_pmf_rejects_non_finite(self, probs):
+        with pytest.raises(ValueError, match="non-finite"):
+            DiscretePmf(len(probs), probs)
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_joint_rejects_non_finite(self, cell):
+        table = np.full((2, 2), 0.25)
+        table[1, 0] = cell
+        with pytest.raises(ValueError, match="1 non-finite"):
+            DiscreteJoint((2, 2), table)
+
+    def test_negative_and_unnormalized_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscretePmf(3, [1.2, -0.2, 0.0])
+        with pytest.raises(ValueError, match="sum to 0.75"):
+            DiscretePmf(2, [0.5, 0.25])
+        with pytest.raises(ValueError, match="sum to 0.0"):
+            DiscreteJoint((2,), [0.0, 0.0])
 
 
 class TestSumPmf:
@@ -91,6 +115,40 @@ class TestSumPmf:
             definition = np.array([sum(p.probs[x] * q.probs[(s - x) % order]
                                        for x in range(order)) for s in range(order)])
             assert np.max(np.abs(got - definition)) <= 1e-15
+
+
+@st.composite
+def signed_terms(draw):
+    """1-5 signed pmfs on one group of order 2-64; about a third of the cells are 0."""
+    n = draw(st.integers(2, 64))
+    cell = st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        w = np.array(draw(st.lists(cell, min_size=n, max_size=n)))
+        w[draw(st.integers(0, n - 1))] += 1.0
+        terms.append((draw(st.sampled_from((1, -1))), DiscretePmf(n, w / w.sum())))
+    return terms
+
+
+class TestRawFold:
+    @given(signed_terms())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_pmf_fold_bit_for_bit(self, terms):
+        """The group backend against the fold it replaced: a DiscretePmf per
+        step, each reflection by np.roll and each sum by the roll reference."""
+        out = None
+        for sign, p in terms:
+            if sign < 0:
+                p = DiscretePmf(p.group_order, np.roll(p.probs[::-1], 1))
+            out = p if out is None else _roll_sum_reference(out, p)
+        assert _group_entropy(*terms).value.hex() == out.entropy().hex()
+
+    def test_reflect_is_the_roll_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for order in range(2, 65):
+            p = DiscretePmf(order, _sparsify(rng, random_pmf(rng, order).probs))
+            got = reflect_pmf(p).probs
+            assert np.array_equal(got, DiscretePmf(order, np.roll(p.probs[::-1], 1)).probs)
 
 
 def _roll_sum_reference(p, q):

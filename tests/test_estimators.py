@@ -54,6 +54,13 @@ class TestKnnEntropy:
         with pytest.raises(ValueError):
             knn_entropy(np.arange(10.0), 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        x = np.random.default_rng(8).normal(size=200)
+        x[[3, 70, 150]] = bad
+        with pytest.raises(ValueError, match="3 of 200 samples are not finite"):
+            knn_entropy(x)
+
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             knn_entropy(np.arange(100.0), 0)
@@ -146,6 +153,15 @@ class TestOracleAgreement:
         assert abs(est.value - grid_h) <= max(3 * est.stderr, 5 * grid_err, 0.05)
 
 
+class _NanModel:
+    """A sampler that returns one NaN, as a faulty model would."""
+
+    def sample_rng(self, rng, n):
+        out = rng.normal(size=n)
+        out[0] = math.nan
+        return out
+
+
 class TestEstimateFunctional:
     def test_exponential_difference_is_laplace(self):
         r = estimate_functional([(1, Exponential(1.0)), (-1, Exponential(1.0))],
@@ -170,6 +186,11 @@ class TestEstimateFunctional:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             estimate_functional([(2, Gaussian(0, 1))], 1000, 5, seed=0)
+
+    def test_non_finite_sum_rejected(self):
+        terms = [(1, Gaussian(0.0, 1.0)), (1, _NanModel())]
+        with pytest.raises(ValueError, match="not finite"):
+            estimate_functional(terms, 200)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

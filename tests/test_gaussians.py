@@ -65,6 +65,26 @@ class TestEntropyQueries:
         with pytest.raises(KeyError):
             pair(0.0).joint_entropy(["Q"])
 
+    def test_unknown_linear_label_rejected(self):
+        with pytest.raises(KeyError, match=r"unknown labels \['Q'\]"):
+            pair(0.0).with_linear("S", {"X": 1.0, "Q": 1.0})
+
+    def test_entropy_of_nothing_is_zero(self):
+        v = pair(0.6)
+        assert v.joint_entropy([]) == 0.0
+        assert v.conditional_entropy([], ["Y"]) == 0.0
+        assert v.conditional_entropy([], []) == 0.0
+
+    @pytest.mark.parametrize("rho", [0.0, 0.6, -0.95])
+    def test_conditioning_on_nothing(self, rho):
+        v = pair(rho).with_linear("S", {"X": 1.0, "Y": 1.0})
+        assert v.conditional_entropy(["X", "Y"], []) == v.joint_entropy(["X", "Y"])
+        assert v.conditional_entropy(["S"], []) == v.joint_entropy(["S"])
+        assert v.conditional_mutual_information(["X"], ["Y"], []) == pytest.approx(
+            v.mutual_information(["X"], ["Y"]), abs=1e-12)
+        assert v.conditional_mutual_information(["X"], ["S"], []) == pytest.approx(
+            v.mutual_information(["X"], ["S"]), abs=1e-12)
+
 
 class TestExtendMarkov:
     def test_conditional_copies_covariance(self):
@@ -186,3 +206,76 @@ class TestDataProcessingForms:
         lhs = v.mutual_information(["XYZ"], ["X"])
         rhs = v.mutual_information(["XY"], ["X"])
         assert rhs - lhs >= -1e-10
+
+
+# -- the scenarios against their composition through public queries ---------
+
+SWEEP = [(i - 95) / 100.0 for i in range(191)] + [-0.999, 0.999]
+
+
+def _minimal_log_k_reference(v):
+    h_x, h_y, h_xy = v.joint_entropy(["X"]), v.joint_entropy(["Y"]), v.joint_entropy(["X", "Y"])
+    h_sum = v.with_linear("S", {"X": 1.0, "Y": 1.0}).joint_entropy(["S"])
+    log_k = max(h_x + h_y - h_xy, h_sum - 0.5 * h_x - 0.5 * h_y, 0.0)
+    return log_k, (h_x + h_y - log_k, h_xy), (h_sum, 0.5 * h_x + 0.5 * h_y + log_k)
+
+
+def _bsg_reference(rho):
+    """run_bsg_scenario with one query per quantity, the two conditional
+    mutual informations through conditional_mutual_information."""
+    v = pair(rho)
+    log_k, condition_mi, condition_sum = _minimal_log_k_reference(v)
+    chain = v.extend_markov([
+        ("X1", ("Y",), ("X", ("Y",))),
+        ("X2", ("Y",), ("X", ("Y",))),
+        ("Yp", ("X1",), ("Y", ("X",))),
+    ]).with_linear("S2p", {"X2": 1.0, "Yp": 1.0})
+    h_x, h_y = chain.joint_entropy(["X"]), chain.joint_entropy(["Y"])
+    lhs_a, rhs_a = h_x - log_k, chain.conditional_entropy(["X2"], ["X1", "Y"])
+    lhs_b, rhs_b = h_y - log_k, chain.conditional_entropy(["Yp"], ["X1", "Y"])
+    lhs_c = chain.conditional_entropy(["S2p"], ["X1", "Y"])
+    rhs_c = 0.5 * h_x + 0.5 * h_y + 7.0 * log_k
+    mi_sum = (chain.conditional_mutual_information(["S2p"], ["Yp"], ["X1", "Y"])
+              + chain.conditional_mutual_information(["S2p"], ["X2"], ["X1", "Y"]))
+    rhs_mi = 16.0 * log_k
+    return {
+        "rho": rho, "k": math.exp(log_k), "log_k": log_k,
+        "condition_mi": list(condition_mi), "condition_sum": list(condition_sum),
+        "conclusion_a": [lhs_a, rhs_a, rhs_a - lhs_a],
+        "conclusion_b": [lhs_b, rhs_b, rhs_b - lhs_b],
+        "conclusion_c": [lhs_c, rhs_c, rhs_c - lhs_c],
+        "mi_sum_bound": [mi_sum, rhs_mi, rhs_mi - mi_sum],
+    }
+
+
+def _weak_bsg_reference(rho):
+    v = pair(rho)
+    log_k, _, _ = _minimal_log_k_reference(v)
+    chain = v.extend_markov([
+        ("X1", ("Y",), ("X", ("Y",))),
+        ("X2", ("Y",), ("X", ("Y",))),
+    ]).with_linear("D", {"X1": 1.0, "X2": -1.0})
+    return chain.conditional_entropy(["D"], ["Y"]), chain.joint_entropy(["X"]) + 4.0 * log_k
+
+
+def _hexed(value):
+    """Floats as their exact hex strings, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    return value
+
+
+class TestScenarioComposition:
+    @pytest.mark.parametrize("rho", SWEEP)
+    def test_bsg_fields_bit_for_bit(self, rho):
+        assert _hexed(run_bsg_scenario(rho).to_dict()) == _hexed(_bsg_reference(rho))
+
+    @pytest.mark.parametrize("rho", SWEEP)
+    def test_weak_bsg_sides_bit_for_bit(self, rho):
+        rep = run_weak_bsg_scenario(rho)
+        lhs, rhs = _weak_bsg_reference(rho)
+        assert _hexed([rep.lhs, rep.rhs, rep.slack]) == _hexed([lhs, rhs, rhs - lhs])
