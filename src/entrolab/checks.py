@@ -11,10 +11,16 @@ backend's err is 0.  Mutual-information quantities are entropy differences of
 independent-sum laws (I(X+Y;Y) = h(X+Y) - h(X)), keeping everything
 one-dimensional.
 
+``GridContext.entropy`` returns a closed form (``exact_entropy``), an
+``Exact`` value whose err is the round-off ``EXACT_TOL``, wherever the
+catalog has one, and a grid estimate otherwise.
+
 Verdicts are decided coarse first (lazy precision): a ``GridContext`` of
 ``count`` cells has a coarse sibling of ``count // REFINE_RATIO`` cells, and
 ``decide`` evaluates on it first and again on the context itself only when
-an entry is undecided there.
+an entry is undecided there.  An entry that no grid count can decide is
+final at the first rung: every value in it is exact, or its check variant
+is an identity, lhs = rhs for every input (``CheckDef.record``).
 """
 
 from __future__ import annotations
@@ -28,13 +34,16 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import grids
-from .distributions import (DensityModel, Exponential, Gaussian, Laplace, Mixture, ModelError,
-                            Uniform)
+from .distributions import (LN_2PI_E, DensityModel, Exponential, Gamma, Gaussian, Laplace,
+                            Mixture, ModelError, Uniform)
 from .poincare import poincare_constant
 from .report import HOLDS, VIOLATED, InequalityReport, make_report, skipped
 
 __all__ = [
     "Approx",
+    "Exact",
+    "EXACT_TOL",
+    "exact_entropy",
     "CheckDef",
     "RuzsaFunctionals",
     "GridContext",
@@ -59,6 +68,8 @@ DEGENERATE = "degenerate denominator"
 # a verdict is decided at count // REFINE_RATIO cells first, then refined at count
 REFINE_RATIO = 8
 _DECIDED = (HOLDS, VIOLATED)
+# float round-off err of an exact value: a closed-form entropy, or a group entropy
+EXACT_TOL = 1e-12
 
 
 class Approx(NamedTuple):
@@ -66,21 +77,58 @@ class Approx(NamedTuple):
 
     x + y and x - y carry x.err + y.err, and c * x carries |c| * x.err, so
     err accumulates term by term in the order an expression is written.
+    The result is ``Exact`` when every operand is.
     """
 
     value: float
     err: float = 0.0
 
+    exact = False
+
     def __add__(self, other: Approx) -> Approx:
-        return Approx(self.value + other.value, self.err + other.err)
+        return _approx(self.exact and other.exact, self.value + other.value,
+                       self.err + other.err)
 
     def __sub__(self, other: Approx) -> Approx:
-        return Approx(self.value - other.value, self.err + other.err)
+        return _approx(self.exact and other.exact, self.value - other.value,
+                       self.err + other.err)
 
     def __mul__(self, c: float) -> Approx:
-        return Approx(c * self.value, abs(c) * self.err)
+        return _approx(self.exact, c * self.value, abs(c) * self.err)
 
     __rmul__ = __mul__
+
+
+class Exact(Approx):
+    """A constant or a closed form: its err is float round-off, and no grid count moves it."""
+
+    __slots__ = ()
+    exact = True
+
+
+def _approx(exact: bool, value: float, err: float) -> Approx:
+    return (Exact if exact else Approx)(value, err)
+
+
+def exact_entropy(*terms: tuple[int, DensityModel]) -> Exact | None:
+    """Closed-form entropy of a signed independent sum, or None where the catalog has none.
+
+    There is one for a single law with ``closed_form_entropy``, for any
+    signed sum of Gaussians (the Gaussian with the summed variance), and for
+    k Exponentials of one rate and one orientation, sign times reflection
+    (a Gamma(k) law scaled by 1/rate, up to a shift and a reflection).
+    """
+    laws = [m for _, m in terms]
+    if len(laws) == 1:
+        h = laws[0].closed_form_entropy()
+    elif all(isinstance(m, Gaussian) for m in laws):
+        h = 0.5 * (LN_2PI_E + math.log(sum(m.variance for m in laws)))
+    elif (all(isinstance(m, Exponential) for m in laws) and len({m.rate for m in laws}) == 1
+          and len({sign * (-1 if m.reflected else 1) for sign, m in terms}) == 1):
+        h = Gamma(float(len(laws)), 1.0).closed_form_entropy() - math.log(laws[0].rate)
+    else:
+        return None
+    return None if h is None else Exact(h, EXACT_TOL)
 
 
 class GridContext:
@@ -153,9 +201,10 @@ class GridContext:
     def entropy(self, *terms: tuple[int, DensityModel]) -> Approx:
         """(value, err) of the signed independent sum of the given terms.
 
-        The sum evaluated has every symmetric law's sign set to +1, and is
-        negated as a whole when that gives the smaller key; its entropy is
-        the same.
+        It is ``exact_entropy`` where that has a closed form, and the grid
+        estimate otherwise.  The sum evaluated has every symmetric law's
+        sign set to +1, and is negated as a whole when that gives the
+        smaller key; its entropy is the same.
         """
         terms = [(1 if m.symmetric else sign, m) for sign, m in terms]
         mirror = [(sign if m.symmetric else -sign, m) for sign, m in terms]
@@ -163,18 +212,21 @@ class GridContext:
         key, terms = min(((tuple(sorted(map(_term_key, ts))), ts) for ts in (terms, mirror)),
                          key=lambda kt: kt[0])
         if key not in self._entropies:
-            self._entropies[key] = Approx(*grids.entropy(self.sum_grid(terms)))
+            h = exact_entropy(*terms)
+            self._entropies[key] = h if h is not None else Approx(
+                *grids.entropy(self.sum_grid(terms)))
         return self._entropies[key]
 
 
 def decide(ctx: GridContext, evaluate: Callable[[GridContext], list[InequalityReport]],
            rejected: Callable[[str], list[InequalityReport]]) -> list[InequalityReport]:
-    """Each entry of ``evaluate(rung)`` from the first rung of ``ctx.ladder`` that decides it.
+    """Each entry of ``evaluate(rung)`` from the first rung of ``ctx.ladder`` that settles it.
 
-    evaluate gives the same entries, in the same order, on every rung.  It
-    runs on the next rung only while an entry is inconclusive or skipped; an
-    entry no rung decides comes from ``ctx`` itself.  A law the grid
-    pipeline rejects (GridError or ModelError) gives a rung the entries
+    evaluate gives the same entries, in the same order, on every rung.  An
+    entry is settled when it is decided or final (``InequalityReport.final``);
+    evaluate runs on the next rung only while an entry is not, and an entry
+    no rung settles comes from ``ctx`` itself.  A law the grid pipeline
+    rejects (GridError or ModelError) gives a rung the entries
     ``rejected(note)``.
     """
     out: list[InequalityReport] = []
@@ -183,10 +235,14 @@ def decide(ctx: GridContext, evaluate: Callable[[GridContext], list[InequalityRe
             reports = evaluate(rung)
         except (grids.GridError, ModelError) as e:
             reports = rejected(f"{type(e).__name__}: {e}")
-        out = [a if a.verdict in _DECIDED else b for a, b in zip(out, reports)] if out else reports
-        if all(r.verdict in _DECIDED for r in out):
+        out = [a if _settled(a) else b for a, b in zip(out, reports)] if out else reports
+        if all(map(_settled, out)):
             break
     return out
+
+
+def _settled(r: InequalityReport) -> bool:
+    return r.verdict in _DECIDED or r.final
 
 
 def _term_key(term: tuple[int, DensityModel]) -> tuple[str, int]:
@@ -340,7 +396,7 @@ def _iterated_sum(h, models, n):
 def _epi_doubling(h, models):
     (x,) = models
     d_plus, d_minus = _deltas(h, x)
-    half_ln2 = Approx(0.5 * LN2)
+    half_ln2 = Exact(0.5 * LN2)
     return [(half_ln2, d_plus, "side=sum"), (half_ln2, d_minus, "side=difference")]
 
 
@@ -384,15 +440,92 @@ class CheckDef:
         """The binding side as a report; extra_err widens its error band."""
         params = {**self.defaults, **params}
         return _side_report(check_id, *self.evaluate(h, models, params), extra_err,
+                            identity=_params_key(params) in self._identities,
                             params=params, inputs=inputs)
+
+    def record(self, params: dict) -> tuple[list[tuple], bool | None]:
+        """The recording pass: (the terms h is asked for, whether the variant is an identity).
+
+        The evaluator runs on the inputs 0, 1, ... with a backend that
+        returns linear forms in the term keys; the key of a signed sum is
+        the sorted (sign, input) pairs of it or of its mirror image, the
+        smaller, since h(-S) = h(S).  The variant is an identity when
+        rhs - lhs is the zero form on every side, and unclassified (None)
+        when the evaluator reads a value, as a branch on one does.
+        """
+        params = {**self.defaults, **params}
+        asked: list[tuple] = []
+
+        def h(*terms):
+            asked.append(terms)
+            mirror = tuple((-sign, i) for sign, i in terms)
+            return _Form({min(tuple(sorted(terms)), tuple(sorted(mirror))): 1.0})
+
+        try:
+            sides = self.evaluator(h, tuple(range(self.arity_for(params))), **params)
+        except _ValueRead:
+            return asked, None
+        return asked, not any(any((_Form.of(rhs) - _Form.of(lhs)).values())
+                              for lhs, rhs, _ in sides)
+
+    @functools.cached_property
+    def _identities(self) -> frozenset:
+        """Parameter keys of the variants that are identities, recorded once."""
+        return frozenset(_params_key({**self.defaults, **v}) for v in self.variants
+                         if self.record(v)[1])
+
+
+def _params_key(params: dict) -> tuple:
+    return tuple(sorted(params.items()))
+
+
+class _ValueRead(Exception):
+    """An evaluator read the value of a linear form."""
+
+
+class _Form(dict):
+    """A linear form in term keys, the recording pass's ``Approx``: key -> coefficient.
+
+    A constant ``Approx`` is the form {(): value}.  Reading ``value``,
+    ``err`` or ``exact`` raises ``_ValueRead``, so a constant written before
+    a form leaves the variant unclassified.
+    """
+
+    @staticmethod
+    def of(x: Approx | _Form) -> _Form:
+        return x if isinstance(x, _Form) else _Form({(): x.value})
+
+    def __add__(self, other: Approx | _Form) -> _Form:
+        out = _Form(self)
+        for key, c in _Form.of(other).items():
+            out[key] = out.get(key, 0.0) + c
+        return out
+
+    def __sub__(self, other: Approx | _Form) -> _Form:
+        return self + -1.0 * _Form.of(other)
+
+    def __mul__(self, c: float) -> _Form:
+        return _Form({key: c * v for key, v in self.items()})
+
+    __rmul__ = __mul__
+
+    @property
+    def value(self):
+        raise _ValueRead
+
+    err = exact = value
 
 
 def _side_report(check_id: str, lhs: Approx, rhs: Approx, note: str | None = None,
-                 extra_err: float = 0.0, **fields) -> InequalityReport:
-    """Report of lhs <= rhs with err = lhs.err + rhs.err + extra_err."""
+                 extra_err: float = 0.0, identity: bool = False, **fields) -> InequalityReport:
+    """Report of lhs <= rhs with err = lhs.err + rhs.err + extra_err.
+
+    It is final when both sides are exact or lhs = rhs is an identity.
+    """
     return make_report(check_id, lhs=lhs.value, rhs=rhs.value,
                        err=lhs.err + rhs.err + extra_err, note=note,
-                       degenerate=note == DEGENERATE, **fields)
+                       degenerate=note == DEGENERATE,
+                       final=identity or lhs.exact and rhs.exact, **fields)
 
 
 REGISTRY: tuple[CheckDef, ...] = (
@@ -545,19 +678,25 @@ def _inverse_bundle(m: DensityModel, ctx: GridContext, poincare: Callable[[], fl
                     extra_err: float, echo: tuple) -> list[InequalityReport]:
     """The eight entries of the inverse bundle on one grid count."""
     d_plus, d_minus = _deltas(ctx.entropy, m)
-    g = ctx.grid(m)
-    phi = grids.gaussian_fit(g)
-    div = Approx(*grids.kl_divergence(g, phi))
-    l1 = grids.l1_distance(g, phi)
-    var = g.moments.variance
+    if isinstance(m, Gaussian):
+        # the law is its own Gaussian fit: D(f||phi) and the L1 distance are 0
+        div = pinsker = Exact(0.0, EXACT_TOL)
+        var = m.variance
+    else:
+        g = ctx.grid(m)
+        phi = grids.gaussian_fit(g)
+        div = Approx(*grids.kl_divergence(g, phi))
+        l1 = grids.l1_distance(g, phi)
+        pinsker = Approx(0.5 * l1 * l1, l1 * g.error_estimate)
+        var = g.moments.variance
     side = functools.partial(_side_report, extra_err=extra_err, inputs=echo)
-    half_ln2 = Approx(0.5 * LN2)
+    half_ln2 = Exact(0.5 * LN2)
     reports = [
         side("inverse_epi_sigma", half_ln2, d_plus),
         side("inverse_epi_delta", half_ln2, d_minus),
         side("inverse_reverse_sigma", d_plus, half_ln2 + div),
         side("inverse_reverse_delta", d_minus, half_ln2 + div),
-        side("inverse_pinsker", Approx(0.5 * l1 * l1, l1 * g.error_estimate), div),
+        side("inverse_pinsker", pinsker, div),
     ]
 
     r = poincare()

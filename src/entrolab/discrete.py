@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import REGISTRY, Approx, CheckDef
+from .checks import EXACT_TOL, REGISTRY, Approx, CheckDef
 from .report import InequalityReport, make_report
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "DISCRETE_REGISTRY_ORDER",
 ]
 
-EXACT_TOL = 1e-12
 MAX_ORDER = 64
 MAX_AXES = 5
 

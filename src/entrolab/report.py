@@ -19,6 +19,8 @@ class InequalityReport:
 
     slack is rhs - lhs, oriented so that nonnegative slack means the
     statement holds; the verdict is "violated" only when slack < -err.
+    final is true when no finer grid can change the entry, as for an
+    exact equality; it stays out of ``to_dict``.
     """
 
     check_id: str
@@ -31,6 +33,7 @@ class InequalityReport:
     params: dict = field(default_factory=dict)
     inputs: tuple = ()
     note: str | None = None
+    final: bool = False
 
     def to_dict(self) -> dict:
         def clean(x: float):
@@ -73,6 +76,7 @@ def make_report(
     inputs: tuple = (),
     note: str | None = None,
     degenerate: bool = False,
+    final: bool = False,
 ) -> InequalityReport:
     slack = rhs - lhs
     return InequalityReport(
@@ -86,6 +90,7 @@ def make_report(
         params=params or {},
         inputs=inputs,
         note=note,
+        final=final,
     )
 
 

@@ -13,8 +13,9 @@ entries follow the order of the config's ``checks``.  Each trial of a grid
 check and each law's inverse bundle is decided coarse first
 (``checks.decide``): on the context's coarse sibling of
 ``grid_count // checks.REFINE_RATIO`` cells, and again at ``grid_count``
-only when an entry is inconclusive or skipped there.  Each entry reports
-the count that decided it.
+only when an entry is inconclusive or skipped there and not final (an exact
+equality, which no count decides).  Each entry reports the count that
+decided it.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .discrete import (
     check_covering_lemma,
     check_discrete_registry,
     check_functional_submodularity,
-    random_pmf,
     DiscreteJoint,
+    DiscretePmf,
 )
 from .distributions import DensityModel, ModelError, is_finite_number, make_model
 from .grids import MAX_COUNT, MIN_COUNT
@@ -314,7 +315,7 @@ def _discrete_job(args, ctx) -> list[InequalityReport]:
     out = []
     for _ in range(n_trials):
         if check_id == "covering_lemma":
-            rep = check_covering_lemma(random_pmf(rng, order), random_pmf(rng, order), extra)
+            rep = check_covering_lemma(*_random_pmfs(rng, order, 2), extra)
         elif check_id == "functional_submodularity":
             rep = _random_submodularity(rng, order, extra)
         else:
@@ -322,10 +323,15 @@ def _discrete_job(args, ctx) -> list[InequalityReport]:
             # a single-variant check draws no variant, so its pmf stream stays put
             n_variants = len(check.variants)
             params = dict(check.variants[rng.integers(n_variants) if n_variants > 1 else 0])
-            pmfs = [random_pmf(rng, order) for _ in range(check.arity_for(params))]
+            pmfs = _random_pmfs(rng, order, check.arity_for(params))
             rep = check_discrete_registry(check.id, pmfs, params, extra)
         out.append(rep)
     return out
+
+
+def _random_pmfs(rng, order: int, k: int) -> list[DiscretePmf]:
+    """k uniform draws from the simplex in one call; k ``random_pmf`` calls give the same floats."""
+    return [DiscretePmf(order, p) for p in rng.dirichlet(np.ones(order), size=k)]
 
 
 def _random_submodularity(rng, order: int, extra_err: float) -> InequalityReport:

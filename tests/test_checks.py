@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from entrolab import grids
+from entrolab import checks, grids, suite
 from entrolab.checks import (
     CHECKS,
+    EXACT_TOL,
     REGISTRY,
     Approx,
+    CheckDef,
+    Exact,
     GridContext,
+    decide,
     default_corpus,
     doubling_and_difference,
+    exact_entropy,
     inverse_theorem_check,
     sum_minus_difference_gap,
     sum_dominant_gap,
@@ -21,6 +26,8 @@ from entrolab.discrete import GROUP_CHECKS
 from entrolab.distributions import Exponential, Gaussian, Laplace, Uniform
 from entrolab.estimators import estimate_functional
 from entrolab.distributions import Mixture
+from entrolab.report import skipped
+from entrolab.suite import config_from_dict, run_suite, serialize_report
 
 LN2 = math.log(2.0)
 EULER_GAMMA = float(np.euler_gamma)
@@ -204,27 +211,179 @@ class TestRegistryGoldenCases:
             run_check(CHECKS["ruzsa_triangle"], [Gaussian(0, 1)], ctx)
 
 
-def gaussian_entropy(*terms):
-    """Closed-form backend: a signed sum of independent Gaussians is Gaussian."""
-    return Approx(0.5 * math.log(2 * math.pi * math.e * sum(m.variance for _, m in terms)))
-
-
 class TestGaussianOracle:
-    """Every grid check against the same definition on the closed-form backend."""
+    """Every grid check on the grid against the same definition on the closed forms."""
 
     @pytest.mark.parametrize("cid,params", [(c.id, p) for c in CHECKS.values()
                                             for p in c.variants], ids=str)
     def test_grid_sides_within_err(self, ctx, cid, params):
         check = CHECKS[cid]
         rng = np.random.default_rng(sorted(CHECKS).index(cid))
+
+        def grid_entropy(*terms):
+            return Approx(*grids.entropy(ctx.sum_grid(terms)))
+
         for _ in range(3):
             models = [Gaussian(rng.uniform(-3, 3), rng.uniform(0.25, 9.0))
                       for _ in range(check.arity_for(params))]
-            lhs, rhs, note = check.evaluate(ctx.entropy, models, params)
-            exact_lhs, exact_rhs, exact_note = check.evaluate(gaussian_entropy, models, params)
+            lhs, rhs, note = check.evaluate(grid_entropy, models, params)
+            exact_lhs, exact_rhs, exact_note = check.evaluate(exact_entropy, models, params)
+            assert exact_lhs.exact and exact_rhs.exact
             assert (abs(lhs.value - exact_lhs.value) + abs(rhs.value - exact_rhs.value)
                     <= lhs.err + rhs.err)
             assert note == exact_note
+
+
+def _gamma_entropy(k: int, rate: float) -> float:
+    """Entropy of the sum of k independent Exp(rate), a Gamma(k, 1/rate) law, by mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return float(k - mp.log(rate) + mp.loggamma(k) + (1 - k) * mp.digamma(k))
+
+
+class TestExactEntropy:
+    """GridContext.entropy returns the closed form wherever the catalog has one."""
+
+    @pytest.mark.parametrize("signs", [(1, -1), (-1, -1, 1), (1, -1, 1, -1, -1)], ids=str)
+    def test_gaussian_sums_of_mixed_signs(self, signs):
+        laws = [Gaussian(0.7 * i - 1.0, 0.3 + 1.1 * i) for i in range(len(signs))]
+        h = GridContext().entropy(*zip(signs, laws))
+        variance = sum(m.variance for m in laws)
+        assert type(h) is Exact and h.err == EXACT_TOL
+        assert abs(h.value - 0.5 * math.log(2 * math.pi * math.e * variance)) <= h.err
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_equal_rate_exponentials_are_gamma(self, k, orientation):
+        # one orientation written both ways: s * E with s = orientation, and
+        # -s * (-E), the reflected law; shifts only translate the sum
+        rate = 0.7
+        terms = [(orientation, Exponential(rate, shift=0.3 * i)) if i % 2 else
+                 (-orientation, Exponential(rate, reflected=True)) for i in range(k)]
+        h = GridContext().entropy(*terms)
+        assert type(h) is Exact and h.err == EXACT_TOL
+        assert abs(h.value - _gamma_entropy(k, rate)) <= h.err
+
+    @pytest.mark.parametrize("terms", [
+        [(1, Exponential(0.7)), (1, Exponential(0.8))],
+        [(1, Exponential(0.7)), (-1, Exponential(0.7))],
+        [(1, Exponential(0.7)), (1, Exponential(0.7, reflected=True))],
+        [(1, Exponential(0.7))] * 3 + [(1, Exponential(0.7, reflected=True))],
+        [(1, Gaussian(0.0, 1.0)), (1, Exponential(0.7))],
+        [(1, Mixture((0.5, 0.5), (Gaussian(-1.0, 1.0), Gaussian(1.0, 1.0))))],
+    ], ids=["mixed-rates", "difference", "reflected", "mixed-orientations", "mixed-kinds",
+            "mixture"])
+    def test_no_closed_form_takes_the_grid(self, monkeypatch, terms):
+        calls = _count_convolutions(monkeypatch)
+        assert exact_entropy(*terms) is None
+        h = GridContext().entropy(*terms)
+        assert type(h) is Approx and not h.exact
+        assert calls == [1]
+
+    def test_exactness_survives_only_exact_arithmetic(self):
+        x, y = Exact(1.0, EXACT_TOL), Approx(2.0, 0.1)
+        assert (x + x).exact and (x - 0.5 * x).exact and (3 * x).exact
+        assert not (x + y).exact and not (y - x).exact and not (2.0 * y).exact
+        assert x - y == Approx(-1.0, EXACT_TOL + 0.1)
+
+    def test_gaussian_inverse_bundle_is_exact(self, monkeypatch):
+        # a Gaussian is its own fit: no grid, and every entry final at the first rung
+        calls = _count_convolutions(monkeypatch)
+        reps = {r.check_id: r for r in inverse_theorem_check(Gaussian(0.5, 2.0))}
+        assert calls == [0]
+        assert all(r.final for r in reps.values())
+        assert reps["inverse_pinsker"].lhs == reps["inverse_pinsker"].rhs == 0.0
+        assert reps["inverse_fgr_delta"].verdict == "holds"
+        assert {r.verdict for cid, r in reps.items() if cid != "inverse_fgr_delta"} \
+            == {"inconclusive"}
+
+
+def _equality_check(tilt: float) -> CheckDef:
+    """A check with lhs h(X) and rhs h(X) - tilt; an identity for tilt 0."""
+    return CheckDef("equality", "h(X) <= h(X) - tilt", 1,
+                    lambda h, models: [(h((1, models[0])), h((1, models[0])) - Exact(tilt),
+                                        None)])
+
+
+class TestFinalEntries:
+    """An entry no grid count can decide is final at the first rung of the ladder."""
+
+    @staticmethod
+    def _decide(check, models, params=None):
+        """The entry of one check, decided on the default ladder, and the rungs evaluated."""
+        rungs = []
+
+        def evaluate(rung):
+            rungs.append(rung.count)
+            return [run_check(check, models, rung, params)]
+
+        (rep,) = decide(GridContext(), evaluate, lambda note: [skipped(check.id, note)])
+        return rep, rungs
+
+    def test_exact_equality_with_negative_round_off_stays_inconclusive(self):
+        # h(U(0, 1)) = log 1 = 0 exactly, so the slack is -1e-16 exactly
+        rep, rungs = self._decide(_equality_check(1e-16), [Uniform(0.0, 1.0)])
+        assert rep.slack == -1e-16
+        assert rep.err == 2 * EXACT_TOL
+        assert (rep.verdict, rep.final) == ("inconclusive", True)
+        assert rungs == [(1 << 14) // checks.REFINE_RATIO]
+
+    def test_exact_inequality_is_decided(self):
+        rep, rungs = self._decide(_equality_check(-1e-9), [Uniform(0.0, 1.0)])
+        assert (rep.verdict, rep.final) == ("holds", True)
+        assert len(rungs) == 1
+
+    def test_grid_near_equality_is_refined(self):
+        x = Mixture((0.3, 0.7), (Gaussian(-1.0, 1.0), Gaussian(2.0, 0.5)))
+        rep, rungs = self._decide(_equality_check(1e-16), [x])
+        assert (rep.verdict, rep.final) == ("inconclusive", False)
+        assert rungs == [(1 << 14) // checks.REFINE_RATIO, 1 << 14]
+        # with tilt 0 the check is an identity, final on the grid too
+        rep, rungs = self._decide(_equality_check(0.0), [x])
+        assert (rep.verdict, rep.final) == ("inconclusive", True)
+        assert len(rungs) == 1
+
+    def test_identity_on_the_grid_is_final(self):
+        # plunnecke_ruzsa n = 1 reads h(X+Y) <= h(X) + [h(X+Y) - h(X)]
+        rep, rungs = self._decide(CHECKS["plunnecke_ruzsa"], [Laplace(0.0, 1.0), Uniform(0, 1)],
+                                  {"n": 1})
+        assert (rep.verdict, rep.final) == ("inconclusive", True)
+        assert rep.err > 1e-9  # grid values, not closed forms
+        assert len(rungs) == 1
+
+    def test_pool_reports_equal_serial_ones(self):
+        raw = {"seed": 20240501, "corpus_size": 24,
+               "checks": ["epi_doubling", "plunnecke_ruzsa", "c3122", "inverse"]}
+        serial = serialize_report(run_suite(config_from_dict({**raw, "workers": 1})))
+        assert serialize_report(run_suite(config_from_dict({**raw, "workers": 2}))) == serial
+
+
+class TestRecordingPass:
+    """CheckDef.record: the terms a check asks for, and whether it is an identity."""
+
+    @pytest.mark.parametrize("cid,params", [(c.id, p) for c in REGISTRY for p in c.variants],
+                             ids=str)
+    def test_recorded_terms_are_the_terms_the_grid_is_asked_for(self, ctx, cid, params):
+        check = next(c for c in REGISTRY if c.id == cid)
+        models = [Laplace(0.1 * i, 1.0 + 0.5 * i) for i in range(check.arity_for(params))]
+        asked = []
+
+        def grid_entropy(*terms):
+            asked.append(tuple((sign, next(i for i, m in enumerate(models) if m is law))
+                               for sign, law in terms))
+            return ctx.entropy(*terms)
+
+        check.evaluate(grid_entropy, models, params)
+        recorded, _ = check.record(params)
+        assert recorded == asked
+
+    def test_identities(self):
+        kinds = {(c.id, tuple(p.items())): c.record(p)[1] for c in REGISTRY for p in c.variants}
+        assert kinds.pop(("plunnecke_ruzsa", (("n", 1),))) is True
+        # its evaluator branches on d_minus, so it is left unclassified
+        assert kinds.pop(("doubling_difference", ())) is None
+        assert set(kinds.values()) == {False}
 
 
 class TestOneRegistry:
@@ -262,6 +421,25 @@ class TestRandomizedCorpus:
         suite, _ = default_suite
         assert suite.summary() == {"holds": 648, "violated": 0, "inconclusive": 38,
                                    "skipped": 0}
+
+    def test_default_suite_ladder_work(self, monkeypatch):
+        # evaluations per rung: the fine count decides one c3122 entry, and the
+        # 38 exact equalities are final at the coarse count
+        rungs = []
+
+        def counted(ctx, evaluate, rejected):
+            def evaluate_counted(rung):
+                rungs.append(rung.count)
+                return evaluate(rung)
+            return decide(ctx, evaluate_counted, rejected)
+
+        monkeypatch.setattr(suite, "decide", counted)
+        monkeypatch.setattr(checks, "decide", counted)
+        run_suite(config_from_dict({"seed": 20240501, "workers": 1}))
+        assert (rungs.count(1 << 11), rungs.count(1 << 14)) == (686, 1)
+        rungs.clear()
+        run_suite(config_from_dict({"seed": 20240501, "workers": 1, "checks": ["inverse"]}))
+        assert (rungs.count(1 << 11), rungs.count(1 << 14)) == (100, 4)
 
 
 class TestGapDemos:

@@ -9,7 +9,7 @@ import pytest
 from entrolab import checks, cli, grids, suite
 from entrolab.checks import CHECKS, INVERSE_CHECK_IDS
 from entrolab.cli import ExpressionError, main, parse_expression
-from entrolab.distributions import Exponential, Gaussian, Uniform, make_model
+from entrolab.distributions import Exponential, Gamma, Gaussian, Uniform, make_model
 from entrolab.suite import ConfigError, config_from_dict, run_suite
 
 
@@ -94,8 +94,15 @@ class TestEntropyCommand:
         assert "--window-sigmas" in capsys.readouterr().err
 
     def test_unbounded_density_exits_2(self, capsys):
-        assert main(["entropy", "gamma(0.5,1)"]) == 2
+        # a sum with the law needs its grid, which the pipeline rejects
+        assert main(["entropy", "gamma(0.5,1) + uniform(0,1)"]) == 2
         assert "unbounded" in capsys.readouterr().err
+
+    def test_single_law_prints_its_closed_form(self, capsys):
+        # no grid: the closed form, with the round-off err of an exact value
+        assert main(["entropy", "gamma(0.5,1)"]) == 0
+        assert capsys.readouterr().out == \
+            f"{Gamma(0.5, 1.0).closed_form_entropy():.6f} ± 1.00e-12 nats\n"
 
 
 class TestCheckCommand:
@@ -386,13 +393,15 @@ class TestCoarseFirst:
         assert len(coarse_first.reports) == len(fine_suite.reports) == 686
         for a, b in zip(coarse_first.reports, fine_suite.reports):
             assert (a.check_id, a.inputs, a.params) == (b.check_id, b.inputs, b.params)
-            assert a.verdict == b.verdict
-            if a.verdict == "inconclusive":  # refined: the fine run's entry
+            assert (a.verdict, a.final) == (b.verdict, b.final)
+            if a.verdict == "inconclusive" and not a.final:  # refined: the fine run's entry
                 assert a == b
                 continue
-            # decided at the coarse count; 0.60 of the bound at most at this seed
+            # decided, or final, at the coarse count; 0.60 of the bound at most at this seed
             for side_a, side_b in ((a.lhs, b.lhs), (a.rhs, b.rhs)):
                 assert abs(side_a - side_b) <= a.err + b.err, (a.check_id, a.params)
+        # the exact equalities: 26 Gaussian epi_doubling and 12 plunnecke_ruzsa n = 1
+        assert sum(r.final and r.verdict == "inconclusive" for r in coarse_first.reports) == 38
 
     def test_only_undecided_checks_are_refined(self, monkeypatch):
         counts = _record_run_check_counts(monkeypatch)
@@ -403,17 +412,19 @@ class TestCoarseFirst:
         calls = iter(counts)
         for r in reports:
             assert next(calls) == coarse
-            if r.verdict not in ("holds", "violated"):
+            if r.verdict not in ("holds", "violated") and not r.final:
                 assert next(calls) == config.grid_count
         assert next(calls, None) is None
         assert {r.verdict for r in reports} == {"holds", "inconclusive"}
+        # Gaussian epi_doubling and plunnecke_ruzsa n = 1 are final at the coarse count
+        assert any(r.final and r.verdict == "inconclusive" for r in reports)
 
     @pytest.mark.parametrize("grid_count,ladder", [(512, [512]), (2048, [256, 2048])])
     def test_no_coarse_count_below_the_minimum(self, monkeypatch, grid_count, ladder):
         counts = _record_run_check_counts(monkeypatch)
         reports = run_suite(config_from_dict({
             "seed": 909, "workers": 1, "corpus_size": 12, "numerics": {"grid_count": grid_count},
-            "checks": ["lower_bound", "ruzsa_triangle", "epi_doubling"]})).reports
+            "checks": ["lower_bound", "ruzsa_triangle", "epi_doubling", "c3122"]})).reports
         assert sorted(set(counts)) == ladder
         if len(ladder) == 1:  # one call per entry: every check runs once, at grid_count
             assert len(counts) == len(reports)
@@ -486,8 +497,9 @@ class TestInverseCoarseFirst:
         run_suite(config_from_dict({"seed": 1, "workers": 1, "checks": ["inverse"],
                                     "corpus": corpus}))
         assert calls == [make_model(spec).content_key for spec in corpus]
-        # the mixture and the Gaussian law reach the fine count, the Laplace law does not
-        assert counts.count(1 << 14) == 2
+        # the mixture reaches the fine count; the Laplace law is decided at the
+        # coarse count, and the Gaussian law is exact there, on no grid
+        assert counts.count(1 << 14) == 1
 
 
 class TestBsgCommand:
