@@ -11,16 +11,18 @@ backend's err is 0.  Mutual-information quantities are entropy differences of
 independent-sum laws (I(X+Y;Y) = h(X+Y) - h(X)), keeping everything
 one-dimensional.
 
-``GridContext.entropy`` returns a closed form (``exact_entropy``), an
-``Exact`` value whose err is the round-off ``EXACT_TOL``, wherever the
-catalog has one, and a grid estimate otherwise.
+Each ``Approx`` also carries its value as a linear form (``Approx.form``):
+``GridContext.entropy`` tags a grid estimate with its cache key and returns
+a closed form (``exact_entropy``), with err the round-off ``EXACT_TOL``,
+wherever the catalog has one.  A value is exact when no grid estimate is in
+its form.
 
 Verdicts are decided coarse first (lazy precision): a ``GridContext`` of
 ``count`` cells has a coarse sibling of ``count // REFINE_RATIO`` cells, and
 ``decide`` evaluates on it first and again on the context itself only when
 an entry is undecided there.  An entry that no grid count can decide is
-final at the first rung: every value in it is exact, or its check variant
-is an identity, lhs = rhs for every input (``CheckDef.record``).
+final at the first rung: rhs - lhs is exact, or every coefficient of its
+form is 0, so that lhs = rhs for every input.
 """
 
 from __future__ import annotations
@@ -72,45 +74,58 @@ _DECIDED = (HOLDS, VIOLATED)
 EXACT_TOL = 1e-12
 
 
-class Approx(NamedTuple):
-    """A value and a bound on its numerical error.
-
-    x + y and x - y carry x.err + y.err, and c * x carries |c| * x.err, so
-    err accumulates term by term in the order an expression is written.
-    The result is ``Exact`` when every operand is.
-    """
-
+class _ValueErr(NamedTuple):
     value: float
     err: float = 0.0
 
-    exact = False
+
+class Approx(_ValueErr):
+    """A value, a bound on its numerical error, and the value as a linear form.
+
+    x + y and x - y carry x.err + y.err, and c * x carries |c| * x.err, so
+    err accumulates term by term in the order an expression is written.
+    ``form`` maps term keys to coefficients and follows the same arithmetic:
+    a grid estimate is {its cache key: 1.0}, a constant or a closed form is
+    {(): value}, and an ``Approx`` built without a form is a term of its
+    own, which cancels only with itself.  Unpacking and equality see
+    (value, err) alone.
+    """
+
+    def __new__(cls, value: float, err: float = 0.0, form: dict | None = None):
+        self = tuple.__new__(cls, (value, err))
+        self.form = {object(): 1.0} if form is None else form
+        return self
+
+    @property
+    def exact(self) -> bool:
+        """True when no grid count moves the value: its form is a constant."""
+        return all(key == () for key in self.form)
 
     def __add__(self, other: Approx) -> Approx:
-        return _approx(self.exact and other.exact, self.value + other.value,
-                       self.err + other.err)
+        form = dict(self.form)
+        for key, c in other.form.items():
+            form[key] = form.get(key, 0.0) + c
+        return Approx(self.value + other.value, self.err + other.err, form)
 
     def __sub__(self, other: Approx) -> Approx:
-        return _approx(self.exact and other.exact, self.value - other.value,
-                       self.err + other.err)
+        form = dict(self.form)
+        for key, c in other.form.items():
+            form[key] = form.get(key, 0.0) - c
+        return Approx(self.value - other.value, self.err + other.err, form)
 
     def __mul__(self, c: float) -> Approx:
-        return _approx(self.exact, c * self.value, abs(c) * self.err)
+        return Approx(c * self.value, abs(c) * self.err,
+                      {key: c * v for key, v in self.form.items()})
 
     __rmul__ = __mul__
 
 
-class Exact(Approx):
+def Exact(value: float, err: float = 0.0) -> Approx:
     """A constant or a closed form: its err is float round-off, and no grid count moves it."""
-
-    __slots__ = ()
-    exact = True
+    return Approx(value, err, {(): value})
 
 
-def _approx(exact: bool, value: float, err: float) -> Approx:
-    return (Exact if exact else Approx)(value, err)
-
-
-def exact_entropy(*terms: tuple[int, DensityModel]) -> Exact | None:
+def exact_entropy(*terms: tuple[int, DensityModel]) -> Approx | None:
     """Closed-form entropy of a signed independent sum, or None where the catalog has none.
 
     There is one for a single law with ``closed_form_entropy``, for any
@@ -214,7 +229,7 @@ class GridContext:
         if key not in self._entropies:
             h = exact_entropy(*terms)
             self._entropies[key] = h if h is not None else Approx(
-                *grids.entropy(self.sum_grid(terms)))
+                *grids.entropy(self.sum_grid(terms)), {key: 1.0})
         return self._entropies[key]
 
 
@@ -440,92 +455,21 @@ class CheckDef:
         """The binding side as a report; extra_err widens its error band."""
         params = {**self.defaults, **params}
         return _side_report(check_id, *self.evaluate(h, models, params), extra_err,
-                            identity=_params_key(params) in self._identities,
                             params=params, inputs=inputs)
-
-    def record(self, params: dict) -> tuple[list[tuple], bool | None]:
-        """The recording pass: (the terms h is asked for, whether the variant is an identity).
-
-        The evaluator runs on the inputs 0, 1, ... with a backend that
-        returns linear forms in the term keys; the key of a signed sum is
-        the sorted (sign, input) pairs of it or of its mirror image, the
-        smaller, since h(-S) = h(S).  The variant is an identity when
-        rhs - lhs is the zero form on every side, and unclassified (None)
-        when the evaluator reads a value, as a branch on one does.
-        """
-        params = {**self.defaults, **params}
-        asked: list[tuple] = []
-
-        def h(*terms):
-            asked.append(terms)
-            mirror = tuple((-sign, i) for sign, i in terms)
-            return _Form({min(tuple(sorted(terms)), tuple(sorted(mirror))): 1.0})
-
-        try:
-            sides = self.evaluator(h, tuple(range(self.arity_for(params))), **params)
-        except _ValueRead:
-            return asked, None
-        return asked, not any(any((_Form.of(rhs) - _Form.of(lhs)).values())
-                              for lhs, rhs, _ in sides)
-
-    @functools.cached_property
-    def _identities(self) -> frozenset:
-        """Parameter keys of the variants that are identities, recorded once."""
-        return frozenset(_params_key({**self.defaults, **v}) for v in self.variants
-                         if self.record(v)[1])
-
-
-def _params_key(params: dict) -> tuple:
-    return tuple(sorted(params.items()))
-
-
-class _ValueRead(Exception):
-    """An evaluator read the value of a linear form."""
-
-
-class _Form(dict):
-    """A linear form in term keys, the recording pass's ``Approx``: key -> coefficient.
-
-    A constant ``Approx`` is the form {(): value}.  Reading ``value``,
-    ``err`` or ``exact`` raises ``_ValueRead``, so a constant written before
-    a form leaves the variant unclassified.
-    """
-
-    @staticmethod
-    def of(x: Approx | _Form) -> _Form:
-        return x if isinstance(x, _Form) else _Form({(): x.value})
-
-    def __add__(self, other: Approx | _Form) -> _Form:
-        out = _Form(self)
-        for key, c in _Form.of(other).items():
-            out[key] = out.get(key, 0.0) + c
-        return out
-
-    def __sub__(self, other: Approx | _Form) -> _Form:
-        return self + -1.0 * _Form.of(other)
-
-    def __mul__(self, c: float) -> _Form:
-        return _Form({key: c * v for key, v in self.items()})
-
-    __rmul__ = __mul__
-
-    @property
-    def value(self):
-        raise _ValueRead
-
-    err = exact = value
 
 
 def _side_report(check_id: str, lhs: Approx, rhs: Approx, note: str | None = None,
-                 extra_err: float = 0.0, identity: bool = False, **fields) -> InequalityReport:
+                 extra_err: float = 0.0, **fields) -> InequalityReport:
     """Report of lhs <= rhs with err = lhs.err + rhs.err + extra_err.
 
-    It is final when both sides are exact or lhs = rhs is an identity.
+    It is final when rhs - lhs is exact, or when all its coefficients are 0
+    (lhs = rhs for every input).
     """
+    slack = rhs - lhs
     return make_report(check_id, lhs=lhs.value, rhs=rhs.value,
                        err=lhs.err + rhs.err + extra_err, note=note,
                        degenerate=note == DEGENERATE,
-                       final=identity or lhs.exact and rhs.exact, **fields)
+                       final=slack.exact or not any(slack.form.values()), **fields)
 
 
 REGISTRY: tuple[CheckDef, ...] = (
@@ -677,7 +621,7 @@ def inverse_theorem_check(
 def _inverse_bundle(m: DensityModel, ctx: GridContext, poincare: Callable[[], float | None],
                     extra_err: float, echo: tuple) -> list[InequalityReport]:
     """The eight entries of the inverse bundle on one grid count."""
-    d_plus, d_minus = _deltas(ctx.entropy, m)
+    (half_ln2, d_plus, _), (_, d_minus, _) = epi = _epi_doubling(ctx.entropy, (m,))
     if isinstance(m, Gaussian):
         # the law is its own Gaussian fit: D(f||phi) and the L1 distance are 0
         div = pinsker = Exact(0.0, EXACT_TOL)
@@ -690,10 +634,8 @@ def _inverse_bundle(m: DensityModel, ctx: GridContext, poincare: Callable[[], fl
         pinsker = Approx(0.5 * l1 * l1, l1 * g.error_estimate)
         var = g.moments.variance
     side = functools.partial(_side_report, extra_err=extra_err, inputs=echo)
-    half_ln2 = Exact(0.5 * LN2)
     reports = [
-        side("inverse_epi_sigma", half_ln2, d_plus),
-        side("inverse_epi_delta", half_ln2, d_minus),
+        *(side(cid, lhs, rhs) for cid, (lhs, rhs, _) in zip(INVERSE_CHECK_IDS, epi)),
         side("inverse_reverse_sigma", d_plus, half_ln2 + div),
         side("inverse_reverse_delta", d_minus, half_ln2 + div),
         side("inverse_pinsker", pinsker, div),

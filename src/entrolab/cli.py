@@ -254,11 +254,9 @@ def _cmd_bsg(args) -> int:
 
     if not _writable(args.out):
         return EXIT_USAGE
-    scenarios = []
-    weak = []
-    for rho in rhos:
-        scenarios.append(run_bsg_scenario(rho).to_dict())
-        weak.append(run_weak_bsg_scenario(rho).to_dict())
+    reports = [run_bsg_scenario(rho) for rho in rhos]
+    scenarios = [r.to_dict() for r in reports]
+    weak = [run_weak_bsg_scenario(rho).to_dict() for rho in rhos]
     payload = {
         "schema_version": 1,
         "tool": "entrolab",
@@ -269,8 +267,7 @@ def _cmd_bsg(args) -> int:
     if not _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out,
                  f" ({len(scenarios)} scenario(s))"):
         return EXIT_USAGE
-    worst = min(min(s["conclusion_a"][2], s["conclusion_b"][2], s["conclusion_c"][2])
-                for s in scenarios)
+    worst = min(r.min_slack() for r in reports)
     print(f"worst conclusion slack: {worst:.3e}", file=sys.stderr)
     violated = worst < -1e-9 or any(w["verdict"] == "violated" for w in weak)
     return EXIT_VIOLATED if violated else EXIT_OK

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import EXACT_TOL, REGISTRY, Approx, CheckDef
+from .checks import EXACT_TOL, REGISTRY, Approx, CheckDef, Exact
 from .report import InequalityReport, make_report
 
 __all__ = [
@@ -250,7 +250,7 @@ def _group_entropy(*terms: tuple[int, DiscretePmf]) -> Approx:
     for sign, p in terms:
         v = p.probs if sign > 0 else _normalized(p.probs[_gathers(p.group_order)[0]])
         out = v if out is None else _normalized(_convolve(out, v))
-    return Approx(_entropy_of(out), 0.0)
+    return Exact(_entropy_of(out))
 
 
 GROUP_CHECKS: dict[str, CheckDef] = {c.id: c for c in REGISTRY if c.group}

@@ -265,13 +265,13 @@ def _minimal_log_k(v: GaussianVector) -> tuple[float, tuple[float, float], tuple
     return log_k, condition_mi, condition_sum
 
 
-def _bsg_chain(v: GaussianVector) -> GaussianVector:
-    """Markov chain X2 -- Y -- X1 -- Y' with all adjacent pairs distributed as (X, Y) = v."""
-    return v.extend_markov([
-        ("X1", ("Y",), ("X", ("Y",))),
-        ("X2", ("Y",), ("X", ("Y",))),
-        ("Yp", ("X1",), ("Y", ("X",))),
-    ])
+# Markov chain X2 -- Y -- X1 -- Y' with all adjacent pairs distributed as
+# (X, Y); its first two steps are two conditionally independent copies of X given Y
+_BSG_RECIPE = (
+    ("X1", ("Y",), ("X", ("Y",))),
+    ("X2", ("Y",), ("X", ("Y",))),
+    ("Yp", ("X1",), ("Y", ("X",))),
+)
 
 
 def run_bsg_scenario(rho: float) -> BsgScenarioReport:
@@ -283,7 +283,7 @@ def run_bsg_scenario(rho: float) -> BsgScenarioReport:
     """
     v = _correlated_pair(rho)
     log_k, condition_mi, condition_sum = _minimal_log_k(v)
-    chain = _bsg_chain(v).with_linear("S2p", {"X2": 1.0, "Yp": 1.0})
+    chain = v.extend_markov(_BSG_RECIPE).with_linear("S2p", {"X2": 1.0, "Yp": 1.0})
 
     h_x = chain.joint_entropy(["X"])
     h_y = chain.joint_entropy(["Y"])
@@ -320,10 +320,7 @@ def run_weak_bsg_scenario(rho: float) -> InequalityReport:
     """Conditional difference-entropy bound h(X1 - X2 | Y) <= h(X) + 4 log K."""
     v = _correlated_pair(rho)
     log_k, _, _ = _minimal_log_k(v)
-    chain = v.extend_markov([
-        ("X1", ("Y",), ("X", ("Y",))),
-        ("X2", ("Y",), ("X", ("Y",))),
-    ]).with_linear("D", {"X1": 1.0, "X2": -1.0})
+    chain = v.extend_markov(_BSG_RECIPE[:2]).with_linear("D", {"X1": 1.0, "X2": -1.0})
     lhs = chain.conditional_entropy(["D"], ["Y"])
     rhs = chain.joint_entropy(["X"]) + 4.0 * log_k
     return make_report("weak_bsg", lhs=lhs, rhs=rhs, err=IDENTITY_TOL,

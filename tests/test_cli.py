@@ -10,6 +10,7 @@ from entrolab import checks, cli, grids, suite
 from entrolab.checks import CHECKS, INVERSE_CHECK_IDS
 from entrolab.cli import ExpressionError, main, parse_expression
 from entrolab.distributions import Exponential, Gamma, Gaussian, Uniform, make_model
+from entrolab.gaussians import run_bsg_scenario
 from entrolab.suite import ConfigError, config_from_dict, run_suite
 
 
@@ -515,9 +516,20 @@ class TestBsgCommand:
         assert main(["bsg", "--sweep=-0.95:0.95:0.05", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert len(data["scenarios"]) == 39
-        worst = min(min(s["conclusion_a"][2], s["conclusion_b"][2],
-                        s["conclusion_c"][2]) for s in data["scenarios"])
+        worst = min(min(s["conclusion_a"][2], s["conclusion_b"][2], s["conclusion_c"][2],
+                        s["mi_sum_bound"][2]) for s in data["scenarios"])
         assert worst >= -1e-9
+
+    def test_violated_mi_sum_bound_exits_1(self, tmp_path, monkeypatch, capsys):
+        # conclusions a-c hold; only the 16 log K bound is broken
+        def broken(rho):
+            r = run_bsg_scenario(rho)
+            mi_sum, _, _ = r.mi_sum_bound
+            return dataclasses.replace(r, mi_sum_bound=(mi_sum, mi_sum - 0.5, -0.5))
+
+        monkeypatch.setattr(cli, "run_bsg_scenario", broken)
+        assert main(["bsg", "--rho", "0.3", "--out", str(tmp_path / "bsg.json")]) == 1
+        assert "worst conclusion slack: -5.000e-01" in capsys.readouterr().err
 
     def test_out_of_range_rho_exits_2(self, capsys):
         assert main(["bsg", "--rho", "1.0"]) == 2

@@ -143,6 +143,12 @@ class TestRawFold:
             out = p if out is None else _roll_sum_reference(out, p)
         assert _group_entropy(*terms).value.hex() == out.entropy().hex()
 
+    @given(signed_terms())
+    @settings(max_examples=25, deadline=None)
+    def test_group_values_are_exact(self, terms):
+        h = _group_entropy(*terms)
+        assert h.exact and h.err == 0.0 and h.form == {(): h.value}
+
     def test_reflect_is_the_roll_bit_for_bit(self):
         rng = np.random.default_rng(5)
         for order in range(2, 65):
