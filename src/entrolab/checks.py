@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import grids
+from . import _special, grids
 from .distributions import (LN_2PI_E, DensityModel, Exponential, Gamma, Gaussian, Laplace,
                             Mixture, ModelError, Uniform)
 from .poincare import poincare_constant
@@ -129,18 +129,33 @@ def exact_entropy(*terms: tuple[int, DensityModel]) -> Approx | None:
     """Closed-form entropy of a signed independent sum, or None where the catalog has none.
 
     There is one for a single law with ``closed_form_entropy``, for any
-    signed sum of Gaussians (the Gaussian with the summed variance), and for
-    k Exponentials of one rate and one orientation, sign times reflection
-    (a Gamma(k) law scaled by 1/rate, up to a shift and a reflection).
+    signed sum of Gaussians (the Gaussian with the summed variance), for
+    two Uniforms of widths a <= b (a trapezoid: log b + a / 2b), and for
+    Exponentials by orientation, sign times reflection: k of one rate and
+    one orientation (a Gamma(k) law scaled by 1/rate, up to a shift and a
+    reflection), two of rates a < b and one orientation (hypoexponential:
+    1 + gamma + psi(b / (b - a)) + log((b - a) / ab)), or two of opposite
+    orientations (asymmetric Laplace: 1 + log((a + b) / ab)).
     """
     laws = [m for _, m in terms]
     if len(laws) == 1:
         h = laws[0].closed_form_entropy()
     elif all(isinstance(m, Gaussian) for m in laws):
         h = 0.5 * (LN_2PI_E + math.log(sum(m.variance for m in laws)))
-    elif (all(isinstance(m, Exponential) for m in laws) and len({m.rate for m in laws}) == 1
-          and len({sign * (-1 if m.reflected else 1) for sign, m in terms}) == 1):
-        h = Gamma(float(len(laws)), 1.0).closed_form_entropy() - math.log(laws[0].rate)
+    elif len(laws) == 2 and all(isinstance(m, Uniform) for m in laws):
+        a, b = sorted(m.width for m in laws)
+        h = math.log(b) + a / (2.0 * b)
+    elif all(isinstance(m, Exponential) for m in laws):
+        a, *_, b = rates = sorted(m.rate for m in laws)
+        one_way = len({sign * (-1 if m.reflected else 1) for sign, m in terms}) == 1
+        if one_way and a == b:
+            h = Gamma(float(len(laws)), 1.0).closed_form_entropy() - math.log(a)
+        elif len(rates) > 2:
+            return None
+        elif one_way:
+            h = 1.0 + np.euler_gamma + _special.digamma(b / (b - a)) + math.log((b - a) / (a * b))
+        else:
+            h = 1.0 + math.log((a + b) / (a * b))
     else:
         return None
     return None if h is None else Exact(h, EXACT_TOL)
@@ -157,14 +172,24 @@ class GridContext:
     sum and its negation (its mirror image) share one entry too.  Keys and
     evaluation order are content-based, which makes every result
     independent of call order, cache state and process layout.
+
+    What the grids need of each law is computed once per context, keyed by
+    its ``content_key``: its grid, its sampling window and, for a leaf that
+    enters a sum through its characteristic function, its tail term.
     """
 
     def __init__(self, count: int = 1 << 14, window_sigmas: float = 12.0):
         self.count = count
         self.window_sigmas = window_sigmas
-        self._grids: dict[str, grids.GridDensity] = {}
+        self._laws: dict[tuple[str, str], object] = {}
         self._entropies: dict[tuple, Approx] = {}
         self._coarse: GridContext | None = None
+
+    def _per_law(self, what: str, m: DensityModel, make: Callable[[], object]):
+        key = what, m.content_key
+        if key not in self._laws:
+            self._laws[key] = make()
+        return self._laws[key]
 
     @property
     def ladder(self) -> tuple[GridContext, ...]:
@@ -182,10 +207,11 @@ class GridContext:
         return (self._coarse, self)
 
     def grid(self, m: DensityModel) -> grids.GridDensity:
-        key = m.content_key
-        if key not in self._grids:
-            self._grids[key] = grids.discretize(m, self.window_sigmas, self.count)
-        return self._grids[key]
+        return self._per_law("grid", m, lambda: grids.discretize(
+            m, self.window_sigmas, self.count, self._window(m)))
+
+    def _window(self, m: DensityModel) -> tuple[float, float, float]:
+        return self._per_law("window", m, lambda: grids._window(m, self.window_sigmas))
 
     def sum_grid(self, terms: Sequence[tuple[int, DensityModel]]) -> grids.GridDensity:
         """Grid of the signed independent sum at the step of its coarsest leaf grid.
@@ -209,9 +235,10 @@ class GridContext:
                                              or all(map(math.isfinite, m.support()))):
                     leaves.append((m if sign > 0 else m.affine(-1.0, 0.0), k))
                     continue
-                g = grids.resample(m, step, self.window_sigmas)
+                g = grids.resample(m, step, self.window_sigmas, self._window(m))
             parts.append((g if sign > 0 else grids.reflect(g), k))
-        return grids.convolve(parts, leaves)
+        tails = [self._per_law("leaf", m, lambda: grids.leaf_tail(m)) for m, _ in leaves]
+        return grids.convolve(parts, leaves, tails)
 
     def entropy(self, *terms: tuple[int, DensityModel]) -> Approx:
         """(value, err) of the signed independent sum of the given terms.
@@ -625,14 +652,14 @@ def _inverse_bundle(m: DensityModel, ctx: GridContext, poincare: Callable[[], fl
     if isinstance(m, Gaussian):
         # the law is its own Gaussian fit: D(f||phi) and the L1 distance are 0
         div = pinsker = Exact(0.0, EXACT_TOL)
-        var = m.variance
     else:
         g = ctx.grid(m)
         phi = grids.gaussian_fit(g)
         div = Approx(*grids.kl_divergence(g, phi))
         l1 = grids.l1_distance(g, phi)
         pinsker = Approx(0.5 * l1 * l1, l1 * g.error_estimate)
-        var = g.moments.variance
+    # exact for every catalog kind, where the grid's variance carries an error no err covers
+    var = m.moments().variance
     side = functools.partial(_side_report, extra_err=extra_err, inputs=echo)
     reports = [
         *(side(cid, lhs, rhs) for cid, (lhs, rhs, _) in zip(INVERSE_CHECK_IDS, epi)),

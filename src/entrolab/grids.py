@@ -30,6 +30,7 @@ __all__ = [
     "gaussian_fit",
     "l1_distance",
     "resample",
+    "leaf_tail",
 ]
 
 MIN_COUNT = 256
@@ -150,7 +151,8 @@ def _sample(m: DensityModel, origin: float, step: float, count: int, tail: float
     return _live_grid(raw, origin, step, _truncation_term(tail))
 
 
-def discretize(m: DensityModel, window_sigmas: float = 12.0, count: int = 1 << 14) -> GridDensity:
+def discretize(m: DensityModel, window_sigmas: float = 12.0, count: int = 1 << 14,
+               window: tuple[float, float, float] | None = None) -> GridDensity:
     """Sample a model onto a normalized grid covering its effective support.
 
     The window is the wider of mean +/- window_sigmas * stddev and the
@@ -158,19 +160,21 @@ def discretize(m: DensityModel, window_sigmas: float = 12.0, count: int = 1 << 1
     exponential-type tails stay covered at any sigma setting.  The model is
     sampled at ``count`` cells (a power of two) and cut to its live cells
     by ``_live_grid``; the window's tail mass, the sampling mass defect and
-    the dropped mass make up the error estimate.
+    the dropped mass make up the error estimate.  ``window`` is the
+    ``(lo, hi, tail)`` of ``_window(m, window_sigmas)`` where a caller has it.
     """
     if count < MIN_COUNT or count & (count - 1):
         raise GridError(f"grid count must be a power of two >= {MIN_COUNT}, got {count}")
-    lo, hi, tail = _window(m, window_sigmas)
+    lo, hi, tail = window or _window(m, window_sigmas)
     return _sample(m, lo, (hi - lo) / count, count, tail)
 
 
-def resample(m: DensityModel, step: float, window_sigmas: float = 12.0) -> GridDensity:
+def resample(m: DensityModel, step: float, window_sigmas: float = 12.0,
+             window: tuple[float, float, float] | None = None) -> GridDensity:
     """Sample a law at a given step: ``discretize``, its window tiled by whole
     cells from its finite support end (else its lower end) so a jump is a cell edge.
     """
-    lo, hi, tail = _window(m, window_sigmas)
+    lo, hi, tail = window or _window(m, window_sigmas)
     count = math.ceil((hi - lo) / step)
     if count > MAX_COUNT:
         raise GridError(f"sampling at step {step:.3g} needs {count} cells; step not representable")
@@ -229,8 +233,14 @@ def _live_grid(raw: np.ndarray, origin: float, step: float, inherited: float) ->
                        + _truncation_term(dropped))
 
 
+def leaf_tail(m: DensityModel) -> float:
+    """Truncation term of a leaf's characteristic-function window (see ``convolve``)."""
+    return _truncation_term(_tail_mass(m, *m.window()))
+
+
 def convolve(parts: Sequence[tuple[GridDensity, int]],
-             leaves: Sequence[tuple[DensityModel, int]] = ()) -> GridDensity:
+             leaves: Sequence[tuple[DensityModel, int]] = (),
+             tails: Sequence[float] | None = None) -> GridDensity:
     """Density of the sum of k copies of each (grid, k) part and (model, k) leaf.
 
     The spectrum is the product of ``rfft(grid * step) ** k`` over the parts
@@ -240,7 +250,8 @@ def convolve(parts: Sequence[tuple[GridDensity, int]],
     the parts' cell centers.  The whole cells of the leaves' summed centers
     rotate the output; only the rest is a phase factor.  err adds k times
     each part's, k times the tail term of each leaf's window (the mass that
-    can wrap around the period), and SAMPLING_COEF * step^2 / var per added
+    can wrap around the period; ``leaf_tail``, or ``tails`` in leaf order),
+    and SAMPLING_COEF * step^2 / var per added
     copy, var the partial sum's variance: what a discrete convolution of
     midpoint grids loses (Sheppard's correction), unseen by the Richardson
     estimate on densities with jumps.  Parts are ordered by content first;
@@ -259,11 +270,13 @@ def convolve(parts: Sequence[tuple[GridDensity, int]],
     origin = (sum(k * g.spec.origin for g, k in parts)
               + (sum(k for _, k in parts) - 1) * step / 2.0)
     inherited = sum(k * g.error_estimate for g, k in parts)
+    if tails is None:
+        tails = [leaf_tail(m) for m, _ in leaves]
     lo = hi = 0.0
-    for m, k in leaves:
+    for (m, k), tail in zip(leaves, tails):
         w_lo, w_hi = m.window()
         lo, hi = lo + k * w_lo, hi + k * w_hi
-        inherited += k * _truncation_term(_tail_mass(m, w_lo, w_hi))
+        inherited += k * tail
     first = math.floor(lo / step)
     n += math.ceil(hi / step) - first
     size = _fft_length(n)

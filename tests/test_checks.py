@@ -1,9 +1,12 @@
+import collections
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from entrolab import checks, grids, suite
+from entrolab import _special, checks, grids, suite
 from entrolab.checks import (
     CHECKS,
     EXACT_TOL,
@@ -23,7 +26,7 @@ from entrolab.checks import (
     run_check,
 )
 from entrolab.discrete import GROUP_CHECKS
-from entrolab.distributions import Exponential, Gaussian, Laplace, Uniform
+from entrolab.distributions import Exponential, Gamma, Gaussian, Laplace, Uniform
 from entrolab.estimators import estimate_functional
 from entrolab.distributions import Mixture
 from entrolab.report import skipped
@@ -107,10 +110,11 @@ class TestSignFreeKeys:
     ], ids=["exponential", "mixture"])
     def test_asymmetric_law_gets_two_sums(self, monkeypatch, y):
         # X + Y and X - Y of two asymmetric laws are two sums; -X - Y, the
-        # mirror image of X + Y, shares its entry
+        # mirror image of X + Y, shares its entry (X is a Gamma law, so that
+        # no sum has a closed form)
         calls = _count_convolutions(monkeypatch)
         ctx = GridContext()
-        x = Exponential(0.8, shift=-0.4)
+        x = Gamma(2.0, 0.6, shift=-0.4)
         ctx.entropy((1, x), (-1, y))
         h_sum = ctx.entropy((1, x), (1, y))
         assert calls == [2]
@@ -133,9 +137,10 @@ class TestSignFreeKeys:
         assert abs(h - h_sum.value) <= err + h_sum.err
 
     def test_symmetric_self_difference_is_one_power(self, monkeypatch):
+        # a Laplace law: the Uniform X - X' has a closed form and no grid
         calls = _count_convolutions(monkeypatch)
         ctx = GridContext()
-        x = Uniform(0.0, 1.0)
+        x = Laplace(0.3, 1.0)
         assert ctx.entropy((1, x), (-1, x)) == ctx.entropy((1, x), (1, x))
         assert calls == [1]
 
@@ -145,9 +150,9 @@ def _count_convolutions(monkeypatch) -> list[int]:
     calls = [0]
     convolve = grids.convolve
 
-    def counted(parts, leaves=()):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return convolve(parts, leaves)
+        return convolve(*args, **kwargs)
 
     monkeypatch.setattr(grids, "convolve", counted)
     return calls
@@ -266,9 +271,9 @@ class TestExactEntropy:
         assert abs(h.value - _gamma_entropy(k, rate)) <= h.err
 
     @pytest.mark.parametrize("terms", [
-        [(1, Exponential(0.7)), (1, Exponential(0.8))],
-        [(1, Exponential(0.7)), (-1, Exponential(0.7))],
-        [(1, Exponential(0.7)), (1, Exponential(0.7, reflected=True))],
+        [(1, Exponential(0.7)), (1, Exponential(0.8)), (1, Exponential(0.9))],
+        [(1, Gamma(2.0, 0.7)), (-1, Gamma(2.0, 0.7))],
+        [(1, Gamma(2.0, 0.7)), (1, Gamma(2.0, 0.7, reflected=True))],
         [(1, Exponential(0.7))] * 3 + [(1, Exponential(0.7, reflected=True))],
         [(1, Gaussian(0.0, 1.0)), (1, Exponential(0.7))],
         [(1, Mixture((0.5, 0.5), (Gaussian(-1.0, 1.0), Gaussian(1.0, 1.0))))],
@@ -281,6 +286,20 @@ class TestExactEntropy:
         # a grid estimate is one term of its form, under its cache key
         assert not h.exact and list(h.form.values()) == [1.0]
         assert calls == [1]
+
+    @pytest.mark.parametrize("terms,h", [
+        ([(1, Exponential(0.7)), (1, Exponential(0.8))],
+         1.0 + EULER_GAMMA + float(_special.digamma(8.0)) + math.log(0.1 / 0.56)),
+        ([(1, Exponential(0.7)), (-1, Exponential(0.7))], 1.0 + math.log(1.4 / 0.49)),
+        ([(1, Exponential(0.7)), (1, Exponential(0.7, reflected=True))],
+         1.0 + math.log(1.4 / 0.49)),
+    ], ids=["mixed-rates", "difference", "reflected"])
+    def test_two_exponentials_are_closed_forms(self, monkeypatch, terms, h):
+        # these sums took the grid before the two-law forms
+        calls = _count_convolutions(monkeypatch)
+        got = GridContext().entropy(*terms)
+        assert got.exact and got.err == EXACT_TOL and abs(got.value - h) <= 1e-14
+        assert calls == [0]
 
     def test_exactness_survives_only_exact_arithmetic(self):
         x, y = Exact(1.0, EXACT_TOL), Approx(2.0, 0.1)
@@ -441,6 +460,92 @@ class TestOneRegistry:
         assert "epi_doubling" in CHECKS and "epi_doubling" not in GROUP_CHECKS
 
 
+@functools.lru_cache(maxsize=None)
+def _quad_entropy(kind: str, a: float, b: float) -> float:
+    """-int f log f by mpmath quadrature, f the density of a two-law sum.
+
+    kind "one-way" is E_a + E_b (Exponentials of rates a != b),
+    "opposite" is E_a - E_b, and "uniform" is U(0, a) + U(0, b), a <= b.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a, b = mp.mpf(a), mp.mpf(b)
+        if kind == "one-way":
+            lo, hi = min(a, b), max(a, b)
+            pieces = [(lambda z: a * b / (b - a) * (mp.exp(-a * z) - mp.exp(-b * z)),
+                       [0, 1 / hi, 10 / hi, 1 / lo, 10 / lo, 100 / lo, mp.inf])]
+        elif kind == "opposite":
+            c = a * b / (a + b)
+            pieces = [(lambda z: c * mp.exp(-a * z), [0, 1 / a, 100 / a, mp.inf]),
+                      (lambda z: c * mp.exp(b * z), [-mp.inf, -100 / b, -1 / b, 0])]
+        else:
+            pieces = [(lambda z: z / (a * b), [0, a]), (lambda z: 1 / b, [a, b]),
+                      (lambda z: (a + b - z) / (a * b), [b, a + b])]
+        total = 0
+        for f, points in pieces:
+            total += mp.quad(lambda z: -f(z) * mp.log(f(z)) if f(z) > 0 else 0, points)
+        return float(total)
+
+
+def _exponential_term(rate: float, orientation: int, reflected: bool, shift: float):
+    """A term of the given orientation: (s, E) with s = orientation, or (-s, -E)."""
+    law = Exponential(rate, shift=shift, reflected=reflected)
+    return (-orientation if reflected else orientation, law)
+
+
+class TestTwoLawClosedForms:
+    """The two-law Uniform and Exponential closed forms against mpmath quadrature."""
+
+    RATIOS = [1.0 + 1e-6, 1.001, 1.5, 10.0, 1e4]
+
+    def _assert_exact(self, monkeypatch, terms, ref):
+        calls = _count_convolutions(monkeypatch)
+        h = GridContext().entropy(*terms)
+        assert h.exact and h.form == {(): h.value} and h.err == EXACT_TOL
+        assert abs(h.value - ref) <= EXACT_TOL, (h.value, ref)
+        assert calls == [0]
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_one_orientation_is_hypoexponential(self, monkeypatch, ratio, orientation):
+        a, b = 0.7, 0.7 * ratio
+        ref = _quad_entropy("one-way", a, b)
+        # each law written with either sign convention, shifted or not
+        for ref_a, ref_b in itertools.product((False, True), repeat=2):
+            terms = [_exponential_term(a, orientation, ref_a, 0.0),
+                     _exponential_term(b, orientation, ref_b, -1.3)]
+            self._assert_exact(monkeypatch, terms, ref)
+            self._assert_exact(monkeypatch, terms[::-1], ref)
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    @pytest.mark.parametrize("ratio", [1.0] + RATIOS)
+    def test_opposite_orientations_are_asymmetric_laplace(self, monkeypatch, ratio,
+                                                          orientation):
+        a, b = 0.7, 0.7 * ratio
+        ref = _quad_entropy("opposite", a, b)
+        for ref_a, ref_b in itertools.product((False, True), repeat=2):
+            terms = [_exponential_term(a, orientation, ref_a, 0.4),
+                     _exponential_term(b, -orientation, ref_b, 0.0)]
+            self._assert_exact(monkeypatch, terms, ref)
+
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)], ids=str)
+    @pytest.mark.parametrize("widths", [(0.5, 2.0), (1.0, 1.0 + 1e-6), (1e-3, 3.0), (1.0, 1.0)],
+                             ids=str)
+    def test_uniform_pair_is_trapezoid(self, monkeypatch, widths, signs):
+        ref = _quad_entropy("uniform", *widths)
+        x, y = Uniform(-1.0, widths[0] - 1.0), Uniform(2.5, 2.5 + widths[1])
+        for terms in ([(signs[0], x), (signs[1], y)], [(signs[0], y), (signs[1], x)]):
+            self._assert_exact(monkeypatch, terms, ref)
+
+    def test_three_laws_take_the_grid(self):
+        # the two-law forms do not extend to a third law
+        e = [Exponential(0.7), Exponential(0.9), Exponential(0.7, reflected=True)]
+        assert exact_entropy(*((1, m) for m in e)) is None
+        assert exact_entropy(*((1, Uniform(0.0, w)) for w in (1.0, 2.0, 3.0))) is None
+        assert exact_entropy((1, Uniform(0.0, 1.0)), (1, Exponential(1.0))) is None
+
+
 class TestRandomizedCorpus:
     def test_small_corpus_no_violations(self, ctx):
         models = default_corpus(seed=1234, size=12)
@@ -482,6 +587,28 @@ class TestRandomizedCorpus:
         run_suite(config_from_dict({"seed": 20240501, "workers": 1, "checks": ["inverse"]}))
         assert (rungs.count(1 << 11), rungs.count(1 << 14)) == (100, 4)
 
+
+    def test_default_suite_grid_work(self, monkeypatch):
+        # sums on the grid per count, and one sampling window per law and
+        # context: the coarse context windows the 100 laws, the fine one
+        # the 3 laws of its one evaluation
+        sums, windows = [], collections.Counter()
+        sum_grid, window = GridContext.sum_grid, grids._window
+
+        def sum_grid_counted(ctx, terms):
+            sums.append(ctx.count)
+            return sum_grid(ctx, terms)
+
+        def window_counted(m, *args, **kwargs):
+            windows[m.content_key] += 1
+            return window(m, *args, **kwargs)
+
+        calls = _count_convolutions(monkeypatch)
+        monkeypatch.setattr(GridContext, "sum_grid", sum_grid_counted)
+        monkeypatch.setattr(grids, "_window", window_counted)
+        run_suite(config_from_dict({"seed": 20240501, "workers": 1}))
+        assert (sums.count(1 << 11), sums.count(1 << 14)) == (717, 4) and calls == [721]
+        assert (len(windows), sum(windows.values())) == (100, 103)
 
 class TestGapDemos:
     def test_collapsed_mixture_has_zero_gap(self, ctx):

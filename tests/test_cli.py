@@ -446,9 +446,9 @@ class TestInverseCoarseFirst:
         seen = []
         discretize = grids.discretize
 
-        def recorded(m, window_sigmas, count):
+        def recorded(m, window_sigmas, count, *args, **kwargs):
             seen.append(count)
-            return discretize(m, window_sigmas, count)
+            return discretize(m, window_sigmas, count, *args, **kwargs)
 
         monkeypatch.setattr(grids, "discretize", recorded)
         return seen
