@@ -148,7 +148,7 @@ def _gathers(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _convolve(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Unnormalized law of X + Y on raw vectors: p . q[(s - x) mod n] per row s."""
-    return np.array([np.dot(p, row) for row in q[_gathers(len(p))[1]]])
+    return np.vecdot(q[_gathers(len(p))[1]], p)
 
 
 def difference_pmf(p: DiscretePmf, q: DiscretePmf) -> DiscretePmf:

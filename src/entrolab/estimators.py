@@ -59,12 +59,14 @@ def _knn_point_estimate(xs: np.ndarray, k: int) -> float:
     pad = np.full(k, np.inf)
     ext = np.concatenate((-pad, xs, pad))  # xs[i] sits at ext[i + k]
     eps = np.full(n, np.inf)
+    left, right = np.empty(n), np.empty(n)
     for a in range(k + 1):
-        left = xs - ext[k - a:k - a + n]  # L_a
-        right = ext[2 * k - a:2 * k - a + n] - xs  # R_{k-a}
+        np.subtract(xs, ext[k - a:k - a + n], out=left)  # L_a
+        np.subtract(ext[2 * k - a:2 * k - a + n], xs, out=right)  # R_{k-a}
         np.minimum(eps, np.maximum(left, right, out=left), out=eps)
-    eps = np.clip(eps, 1e-300, None)
-    return float(_psi_gap(n, k) + np.mean(np.log(2.0 * eps)))
+    np.clip(eps, 1e-300, None, out=eps)
+    eps *= 2.0
+    return float(_psi_gap(n, k) + np.mean(np.log(eps, out=eps)))
 
 
 def knn_entropy(samples: Sequence[float], k: int = DEFAULT_K) -> EstimateResult:

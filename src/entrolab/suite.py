@@ -23,9 +23,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -395,11 +397,69 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
 def serialize_report(report: SuiteReport, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
+        return _report_json(report.to_dict())
     if fmt == "csv":
         return _to_csv(report)
     raise ConfigError(f"unknown report format '{fmt}'")
+
+
+# The JSON report is written as json.dumps(d, indent=2, sort_keys=True,
+# allow_nan=False) + "\n" would write it, byte for byte, without the
+# pure-Python encoder that json.dumps takes whenever indent is set.
+
+
+def _object(items: list[tuple[str, str]], pad: str) -> str:
+    """An object at indent ``pad`` from (key, value text) pairs in key order."""
+    if not items:
+        return "{}"
+    inner = pad + "  "
+    return "{\n" + ",\n".join([f"{inner}{_json_str(k)}: {text}" for k, text in items]) \
+        + "\n" + pad + "}"
+
+
+def _array(texts: list[str], pad: str) -> str:
+    """An array at indent ``pad`` from its value texts."""
+    if not texts:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+
+
+def _json(value, pad: str = "") -> str:
+    """A JSON value at indent ``pad``; object keys are strings."""
+    if isinstance(value, dict):
+        return _object([(k, _json(v, pad + "  ")) for k, v in sorted(value.items())], pad)
+    if isinstance(value, (list, tuple)):
+        return _array([_json(v, pad + "  ") for v in value], pad)
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _report_json(d: dict) -> str:
+    """A report dict as text: one string per entry, each input law's dict written once."""
+    laws: dict[int, str] = {}  # by id: the dicts live as long as d
+
+    def law(x: dict) -> str:
+        if id(x) not in laws:
+            laws[id(x)] = _json(x, 8 * " ")
+        return laws[id(x)]
+
+    def entry(e: dict) -> str:
+        return _object([(k, _array([law(x) for x in v], 6 * " ") if k == "inputs"
+                         else _json(v, 6 * " ")) for k, v in sorted(e.items())], 4 * " ")
+
+    checks = _array([entry(e) for e in d["checks"]], "  ")
+    return _object([(k, checks if k == "checks" else _json(v, "  "))
+                    for k, v in sorted(d.items())], "") + "\n"
 
 
 _CSV_COLUMNS = ("check_id", "kind", "params", "lhs", "rhs", "slack", "err",

@@ -5,12 +5,15 @@ import multiprocessing
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrolab import checks, cli, grids, suite
 from entrolab.checks import CHECKS, INVERSE_CHECK_IDS
 from entrolab.cli import ExpressionError, main, parse_expression
 from entrolab.distributions import Exponential, Gamma, Gaussian, Uniform, make_model
 from entrolab.gaussians import run_bsg_scenario
+from entrolab.report import make_report, skipped
 from entrolab.suite import ConfigError, config_from_dict, run_suite
 
 
@@ -658,3 +661,57 @@ class TestInverseSuiteFamily:
             assert main(["inverse", "--config", path, "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+
+def _stdlib_json(d) -> str:
+    return json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestReportWriter:
+    """serialize_report writes what json.dumps(indent=2, sort_keys=True) writes, byte for byte."""
+
+    @pytest.mark.parametrize("raw", [
+        *({"seed": seed, "workers": 1} for seed in (20240501, 909, 7, 301)),
+        {"seed": 20240501, "workers": 1, "checks": ["inverse"]},
+        {"seed": 3, "workers": 1, "checks": ["covering_lemma", "functional_submodularity",
+                                              *suite._DISCRETE_PREFIXED]},
+    ], ids=["suite-20240501", "suite-909", "suite-7", "suite-301", "inverse", "discrete"])
+    def test_reports(self, raw):
+        report = run_suite(config_from_dict(raw))
+        assert suite.serialize_report(report) == _stdlib_json(report.to_dict())
+
+    def test_skipped_entries_write_null(self):
+        law = Gamma(0.5, 1.0).to_dict()
+        report = suite.SuiteReport(config={"seed": 1}, timings={}, reports=[
+            *(skipped(cid, "GridError: unbounded", inputs=(law,)) for cid in INVERSE_CHECK_IDS),
+            skipped("c3122", "no law", params={"n": 2})])
+        text = suite.serialize_report(report)
+        assert text == _stdlib_json(report.to_dict())
+        assert json.loads(text)["checks"][0]["lhs"] is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=_JSON_VALUES)
+    def test_any_json_value(self, value):
+        assert suite._json(value) + "\n" == _stdlib_json(value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(notes=st.lists(st.text(), min_size=1, max_size=5),
+           params=st.dictionaries(st.text(), _JSON_VALUES, max_size=3),
+           config=st.dictionaries(st.text(), _JSON_VALUES, max_size=3))
+    def test_reports_with_any_notes_and_params(self, notes, params, config):
+        law = {"kind": "uniform", "lower": 0.0, "upper": 1.0, "note": "é≤∞  "}
+        reports = [make_report("c3122", 0.25, 1.5, 1e-3, params=params, inputs=(law, law),
+                               note=note) for note in notes]
+        report = suite.SuiteReport(config=config, reports=reports, timings={})
+        assert suite.serialize_report(report) == _stdlib_json(report.to_dict())
+
+    def test_non_finite_floats_are_rejected(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            suite._json({"x": [1.0, math.inf]})

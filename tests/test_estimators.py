@@ -195,3 +195,19 @@ class TestEstimateFunctional:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             estimate_functional([], 1000, 5, seed=0)
+
+
+class TestKnnGoldens:
+    """The benchmark's four golden kNN expressions at n = 10^5, k = 5, pinned bit for bit."""
+
+    E = Exponential(1.0)
+
+    @pytest.mark.parametrize("i,terms,value,stderr", [
+        (0, [(1, Gaussian(0.0, 1.0))], "0x1.6b56b35917a50p+0", "0x1.b6b6cb0904efep-10"),
+        (1, [(1, Uniform(0.0, 1.0))] * 2, "0x1.005d0302cde20p-1", "0x1.d95874e452700p-10"),
+        (2, [(1, E), (-1, E)], "0x1.b0f23d72966b8p+0", "0x1.ad7da28122443p-9"),
+        (3, [(1, E)] * 2, "0x1.93abd7ac43b10p+0", "0x1.623c373de1ec1p-9"),
+    ], ids=["h(N(0,1))", "h(U+U')", "h(E-E')", "h(E+E')"])
+    def test_estimate(self, i, terms, value, stderr):
+        r = estimate_functional(terms, 10 ** 5, 5, seed=20240501 * 8 + i)
+        assert (r.value.hex(), r.stderr.hex()) == (value, stderr)
