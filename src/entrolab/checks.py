@@ -146,11 +146,11 @@ def exact_entropy(*terms: tuple[int, DensityModel]) -> Approx | None:
         a, b = sorted(m.width for m in laws)
         h = math.log(b) + a / (2.0 * b)
     elif all(isinstance(m, Exponential) for m in laws):
-        a, *_, b = rates = sorted(m.rate for m in laws)
+        a, *_, b = sorted(m.rate for m in laws)
         one_way = len({sign * (-1 if m.reflected else 1) for sign, m in terms}) == 1
         if one_way and a == b:
             h = Gamma(float(len(laws)), 1.0).closed_form_entropy() - math.log(a)
-        elif len(rates) > 2:
+        elif len(laws) > 2:
             return None
         elif one_way:
             h = 1.0 + np.euler_gamma + _special.digamma(b / (b - a)) + math.log((b - a) / (a * b))
@@ -171,11 +171,8 @@ class GridContext:
     its entropy not at all, and h(X - Y) and h(X + Y) share one entry.  A
     sum and its negation (its mirror image) share one entry too.  Keys and
     evaluation order are content-based, which makes every result
-    independent of call order, cache state and process layout.
-
-    What the grids need of each law is computed once per context, keyed by
-    its ``content_key``: its grid, its sampling window and, for a leaf that
-    enters a sum through its characteristic function, its tail term.
+    independent of call order, cache state and process layout.  Each law's
+    grid, window and leaf tail term are made once per context (``_per_law``).
     """
 
     def __init__(self, count: int = 1 << 14, window_sigmas: float = 12.0):
@@ -186,6 +183,7 @@ class GridContext:
         self._coarse: GridContext | None = None
 
     def _per_law(self, what: str, m: DensityModel, make: Callable[[], object]):
+        """make() once per (what, law), keyed by content: a grid, a window or a tail term."""
         key = what, m.content_key
         if key not in self._laws:
             self._laws[key] = make()

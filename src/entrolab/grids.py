@@ -160,8 +160,7 @@ def discretize(m: DensityModel, window_sigmas: float = 12.0, count: int = 1 << 1
     exponential-type tails stay covered at any sigma setting.  The model is
     sampled at ``count`` cells (a power of two) and cut to its live cells
     by ``_live_grid``; the window's tail mass, the sampling mass defect and
-    the dropped mass make up the error estimate.  ``window`` is the
-    ``(lo, hi, tail)`` of ``_window(m, window_sigmas)`` where a caller has it.
+    the dropped mass make up the error estimate.  ``window`` is ``_window``'s, if known.
     """
     if count < MIN_COUNT or count & (count - 1):
         raise GridError(f"grid count must be a power of two >= {MIN_COUNT}, got {count}")
@@ -234,7 +233,7 @@ def _live_grid(raw: np.ndarray, origin: float, step: float, inherited: float) ->
 
 
 def leaf_tail(m: DensityModel) -> float:
-    """Truncation term of a leaf's characteristic-function window (see ``convolve``)."""
+    """Truncation term of a leaf's window: the mass that can wrap around a sum's period."""
     return _truncation_term(_tail_mass(m, *m.window()))
 
 
@@ -249,12 +248,11 @@ def convolve(parts: Sequence[tuple[GridDensity, int]],
     that holds the support; one irfft and ``_live_grid`` finish the sum on
     the parts' cell centers.  The whole cells of the leaves' summed centers
     rotate the output; only the rest is a phase factor.  err adds k times
-    each part's, k times the tail term of each leaf's window (the mass that
-    can wrap around the period; ``leaf_tail``, or ``tails`` in leaf order),
-    and SAMPLING_COEF * step^2 / var per added
-    copy, var the partial sum's variance: what a discrete convolution of
-    midpoint grids loses (Sheppard's correction), unseen by the Richardson
-    estimate on densities with jumps.  Parts are ordered by content first;
+    each part's, k times each leaf's tail term (``leaf_tail``, or ``tails``
+    in leaf order), and SAMPLING_COEF * step^2 / var per added copy, var the
+    partial sum's variance: what a discrete convolution of midpoint grids
+    loses (Sheppard's correction), unseen by the Richardson estimate on
+    densities with jumps.  Parts are ordered by content first;
     one part of one copy and no leaves is returned as it is.
     """
     if any(k < 1 for _, k in (*parts, *leaves)):

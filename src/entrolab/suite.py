@@ -403,45 +403,35 @@ def serialize_report(report: SuiteReport, fmt: str = "json") -> str:
     raise ConfigError(f"unknown report format '{fmt}'")
 
 
-# The JSON report is written as json.dumps(d, indent=2, sort_keys=True,
-# allow_nan=False) + "\n" would write it, byte for byte, without the
-# pure-Python encoder that json.dumps takes whenever indent is set.
+# The JSON report is json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
+# + "\n", byte for byte, without the pure-Python encoder json.dumps takes for indent.
 
 
 def _object(items: list[tuple[str, str]], pad: str) -> str:
-    """An object at indent ``pad`` from (key, value text) pairs in key order."""
-    if not items:
-        return "{}"
     inner = pad + "  "
-    return "{\n" + ",\n".join([f"{inner}{_json_str(k)}: {text}" for k, text in items]) \
-        + "\n" + pad + "}"
+    body = ",\n".join([f"{inner}{_json_str(k)}: {text}" for k, text in items])
+    return "{\n" + body + "\n" + pad + "}" if items else "{}"
 
 
 def _array(texts: list[str], pad: str) -> str:
-    """An array at indent ``pad`` from its value texts."""
-    if not texts:
-        return "[]"
     inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
 
 
 def _json(value, pad: str = "") -> str:
-    """A JSON value at indent ``pad``; object keys are strings."""
-    if isinstance(value, dict):
-        return _object([(k, _json(v, pad + "  ")) for k, v in sorted(value.items())], pad)
-    if isinstance(value, (list, tuple)):
-        return _array([_json(v, pad + "  ") for v in value], pad)
+    """A JSON value with string keys, written at indent ``pad``."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
     if isinstance(value, str):
         return _json_str(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if isinstance(value, (dict, list, tuple)):
+        inner = pad + "  "
+        if isinstance(value, dict):
+            return _object([(k, _json(v, inner)) for k, v in sorted(value.items())], pad)
+        return _array([_json(v, inner) for v in value], pad)
+    return json.dumps(value, allow_nan=False)  # a bool, None, or an error
 
 
 def _report_json(d: dict) -> str:
