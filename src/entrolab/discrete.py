@@ -125,9 +125,9 @@ def sum_pmf(p: DiscretePmf, q: DiscretePmf) -> DiscretePmf:
     """Law of X + Y (mod n) for independent X ~ p, Y ~ q.
 
     One gather builds the n x n table rows[s, x] = q[(s - x) mod n]; then
-    out[s] = p . rows[s], one dot product per row.  A matrix product over
-    the whole table would sum in another order and move results in the
-    last bit.
+    out[s] = p . rows[s], one dot product per row, all in one ``np.vecdot``.
+    A matrix product over the whole table would sum in another order and
+    move results in the last bit.
     """
     if p.group_order != q.group_order:
         raise ValueError("group orders differ")

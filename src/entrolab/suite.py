@@ -403,10 +403,6 @@ def serialize_report(report: SuiteReport, fmt: str = "json") -> str:
     raise ConfigError(f"unknown report format '{fmt}'")
 
 
-# The JSON report is json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
-# + "\n", byte for byte, without the pure-Python encoder json.dumps takes for indent.
-
-
 def _object(items: list[tuple[str, str]], pad: str) -> str:
     inner = pad + "  "
     body = ",\n".join([f"{inner}{_json_str(k)}: {text}" for k, text in items])
@@ -435,21 +431,28 @@ def _json(value, pad: str = "") -> str:
 
 
 def _report_json(d: dict) -> str:
-    """A report dict as text: one string per entry, each input law's dict written once."""
-    laws: dict[int, str] = {}  # by id: the dicts live as long as d
+    """json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n" byte for byte, without
+    its pure-Python encoder: entries joined once, each input dict object written once."""
+    laws: dict[int, str] = {}  # by id, as d keeps them alive; an inverse bundle shares one
 
     def law(x: dict) -> str:
         if id(x) not in laws:
             laws[id(x)] = _json(x, 8 * " ")
         return laws[id(x)]
 
-    def entry(e: dict) -> str:
-        return _object([(k, _array([law(x) for x in v], 6 * " ") if k == "inputs"
-                         else _json(v, 6 * " ")) for k, v in sorted(e.items())], 4 * " ")
-
-    checks = _array([entry(e) for e in d["checks"]], "  ")
-    return _object([(k, checks if k == "checks" else _json(v, "  "))
-                    for k, v in sorted(d.items())], "") + "\n"
+    out = []
+    for key, value in sorted(d.items()):
+        out += [",\n  " if out else "{\n  ", _json_str(key), ": "]
+        if key != "checks" or not value:
+            out.append(_json(value, "  "))
+            continue
+        for i, e in enumerate(value):
+            out += [",\n    " if i else "[\n    ", _object([
+                (k, _array([law(x) for x in v], 6 * " ") if k == "inputs" else _json(v, 6 * " "))
+                for k, v in sorted(e.items())], 4 * " ")]
+        out.append("\n  ]")
+    out.append("\n}\n")
+    return "".join(out)
 
 
 _CSV_COLUMNS = ("check_id", "kind", "params", "lhs", "rhs", "slack", "err",
