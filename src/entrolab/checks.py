@@ -66,6 +66,8 @@ __all__ = [
 LN2 = math.log(2.0)
 # leaves off a sum's step whose grids span fewer cells enter by characteristic function
 NARROW = 16
+# a law sampled at a sum's step mostly recurs within the next two sums: keep the latest 4
+RECENT = 4
 DEGENERATE = "degenerate denominator"
 # a verdict is decided at count // REFINE_RATIO cells first, then refined at count
 REFINE_RATIO = 8
@@ -138,14 +140,17 @@ def exact_entropy(*terms: tuple[int, DensityModel]) -> Approx | None:
     orientations (asymmetric Laplace: 1 + log((a + b) / ab)).
     """
     laws = [m for _, m in terms]
+    kind, *others = {type(m) for m in laws}
     if len(laws) == 1:
         h = laws[0].closed_form_entropy()
-    elif all(isinstance(m, Gaussian) for m in laws):
+    elif others:
+        return None
+    elif kind is Gaussian:
         h = 0.5 * (LN_2PI_E + math.log(sum(m.variance for m in laws)))
-    elif len(laws) == 2 and all(isinstance(m, Uniform) for m in laws):
+    elif kind is Uniform and len(laws) == 2:
         a, b = sorted(m.width for m in laws)
         h = math.log(b) + a / (2.0 * b)
-    elif all(isinstance(m, Exponential) for m in laws):
+    elif kind is Exponential:
         a, *_, b = sorted(m.rate for m in laws)
         one_way = len({sign * (-1 if m.reflected else 1) for sign, m in terms}) == 1
         if one_way and a == b:
@@ -172,7 +177,8 @@ class GridContext:
     sum and its negation (its mirror image) share one entry too.  Keys and
     evaluation order are content-based, which makes every result
     independent of call order, cache state and process layout.  Each law's
-    grid, window and leaf tail term are made once per context (``_per_law``).
+    grid, window and leaf tail term are made once per context (``_per_law``),
+    and the RECENT latest grids of laws sampled at a sum's step are kept.
     """
 
     def __init__(self, count: int = 1 << 14, window_sigmas: float = 12.0):
@@ -180,6 +186,7 @@ class GridContext:
         self.window_sigmas = window_sigmas
         self._laws: dict[tuple[str, str], object] = {}
         self._entropies: dict[tuple, Approx] = {}
+        self._resampled: dict[tuple[str, float], grids.GridDensity] = {}  # most recent last
         self._coarse: GridContext | None = None
 
     def _per_law(self, what: str, m: DensityModel, make: Callable[[], object]):
@@ -233,7 +240,11 @@ class GridContext:
                                              or all(map(math.isfinite, m.support()))):
                     leaves.append((m if sign > 0 else m.affine(-1.0, 0.0), k))
                     continue
-                g = grids.resample(m, step, self.window_sigmas, self._window(m))
+                g = self._resampled.pop((m.content_key, step), None) or grids.resample(
+                    m, step, self.window_sigmas, self._window(m))
+                self._resampled[m.content_key, step] = g
+                if len(self._resampled) > RECENT:
+                    del self._resampled[next(iter(self._resampled))]
             parts.append((g if sign > 0 else grids.reflect(g), k))
         tails = [self._per_law("leaf", m, lambda: grids.leaf_tail(m)) for m, _ in leaves]
         return grids.convolve(parts, leaves, tails)
@@ -247,15 +258,17 @@ class GridContext:
         smaller key; its entropy is the same.
         """
         terms = [(1 if m.symmetric else sign, m) for sign, m in terms]
-        mirror = [(sign if m.symmetric else -sign, m) for sign, m in terms]
-        # on equal keys (a sum that is its own mirror image) min keeps the first
-        key, terms = min(((tuple(sorted(map(_term_key, ts))), ts) for ts in (terms, mirror)),
-                         key=lambda kt: kt[0])
-        if key not in self._entropies:
-            h = exact_entropy(*terms)
-            self._entropies[key] = h if h is not None else Approx(
-                *grids.entropy(self.sum_grid(terms)), {key: 1.0})
-        return self._entropies[key]
+        key = tuple(sorted(map(_term_key, terms)))
+        if not all(m.symmetric for _, m in terms):  # else the mirror image is the sum itself
+            mirror = [(sign if m.symmetric else -sign, m) for sign, m in terms]
+            # on equal keys (a sum that is its own mirror image) min keeps the first
+            key, terms = min((key, terms), (tuple(sorted(map(_term_key, mirror))), mirror),
+                             key=lambda kt: kt[0])
+        h = self._entropies.get(key)
+        if h is None:
+            h = exact_entropy(*terms) or Approx(*grids.entropy(self.sum_grid(terms)), {key: 1.0})
+            self._entropies[key] = h
+        return h
 
 
 def decide(ctx: GridContext, evaluate: Callable[[GridContext], list[InequalityReport]],
@@ -555,7 +568,7 @@ def run_check(
     params = params or {}
     ctx = ctx or GridContext()
     return check.report(check.id, ctx.entropy, models, params, extra_err,
-                        tuple(m.to_dict() for m in models))
+                        tuple(m.echo for m in models))
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +650,7 @@ def inverse_theorem_check(
     grid pipeline rejects gives eight skipped entries.
     """
     ctx = ctx or GridContext()
-    echo = (m.to_dict(),)
+    echo = (m.echo,)
     poincare = functools.cache(lambda: poincare_constant(m))
     return decide(ctx, lambda rung: _inverse_bundle(m, rung, poincare, extra_err, echo),
                   lambda note: [skipped(cid, note, inputs=echo) for cid in INVERSE_CHECK_IDS])
@@ -654,8 +667,8 @@ def _inverse_bundle(m: DensityModel, ctx: GridContext, poincare: Callable[[], fl
         g = ctx.grid(m)
         phi = grids.gaussian_fit(g)
         div = Approx(*grids.kl_divergence(g, phi))
-        l1 = grids.l1_distance(g, phi)
-        pinsker = Approx(0.5 * l1 * l1, l1 * g.error_estimate)
+        l1, l1_err = grids.l1_distance(g, phi)
+        pinsker = Approx(0.5 * l1 * l1, l1 * (g.error_estimate + l1_err))
     # exact for every catalog kind, where the grid's variance carries an error no err covers
     var = m.moments().variance
     side = functools.partial(_side_report, extra_err=extra_err, inputs=echo)

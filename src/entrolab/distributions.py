@@ -143,13 +143,19 @@ class DensityModel:
         return d
 
     @cached_property
+    def echo(self) -> dict:
+        """``to_dict()``, made once: the one dict that every report on this law
+        echoes in its ``inputs``, so a report writer formats each law once.  Never mutate it."""
+        return self.to_dict()
+
+    @cached_property
     def content_key(self) -> str:
         """Cache key equal for equal parameters, computed once per instance.
 
         Content-based on purpose: id()-keyed memoization would alias
         recycled addresses of dead model objects.
         """
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.echo, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -292,7 +298,7 @@ class Exponential(_OneSided):
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         t = self._sign() * (x - self.shift)
-        return np.where(t >= 0.0, self.rate * np.exp(-self.rate * np.clip(t, 0.0, None)), 0.0)
+        return np.where(t >= 0.0, self.rate * np.exp(-self.rate * np.maximum(t, 0.0)), 0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

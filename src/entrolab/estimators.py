@@ -44,27 +44,28 @@ def _psi_gap(n: int, k: int) -> float:
     return float(np.sum(1.0 / np.arange(k, n)))
 
 
-def _knn_point_estimate(xs: np.ndarray, k: int) -> float:
-    """Digamma k-NN estimate on jittered 1D samples.
+def _knn_point_estimate(ext: np.ndarray, n: int, k: int, scratch: np.ndarray) -> float:
+    """Digamma k-NN estimate on the n jittered 1D samples held in ext[k:k + n].
 
     After a sort, the k nearest neighbors of a point lie among its k left
     gaps L_1 <= ... <= L_k and its k right gaps R_1 <= ... <= R_k, and the
     k-th smallest of those 2k gaps is min over a = 0..k of
     max(L_a, R_{k-a}), with L_0 = R_0 = 0.  Padding the sorted samples with
     k copies of -inf and +inf makes a missing neighbor an infinite gap, so
-    the scan is k + 1 vectorised passes over the samples.
+    the scan is k + 1 vectorised passes over the samples, sorted in place.
+    ``scratch`` (3 rows of >= n) holds the eps, left and right gaps.
     """
-    xs = np.sort(xs)
-    n = len(xs)
-    pad = np.full(k, np.inf)
-    ext = np.concatenate((-pad, xs, pad))  # xs[i] sits at ext[i + k]
-    eps = np.full(n, np.inf)
-    left, right = np.empty(n), np.empty(n)
+    xs = ext[k:k + n]
+    xs.sort()
+    ext[:k] = -np.inf
+    ext[k + n:2 * k + n] = np.inf  # xs[i] sits at ext[i + k]
+    eps, left, right = scratch[:, :n]
+    eps.fill(np.inf)
     for a in range(k + 1):
         np.subtract(xs, ext[k - a:k - a + n], out=left)  # L_a
         np.subtract(ext[2 * k - a:2 * k - a + n], xs, out=right)  # R_{k-a}
         np.minimum(eps, np.maximum(left, right, out=left), out=eps)
-    np.clip(eps, 1e-300, None, out=eps)
+    np.maximum(eps, 1e-300, out=eps)
     eps *= 2.0
     return float(_psi_gap(n, k) + np.mean(np.log(eps, out=eps)))
 
@@ -96,13 +97,16 @@ def knn_entropy(samples: Sequence[float], k: int = DEFAULT_K) -> EstimateResult:
 
     jitter_rng = np.random.default_rng(_JITTER_SEED)
     x = x + jitter_rng.uniform(-1.0, 1.0, n) * (_JITTER_SCALE * max(scale, 1.0))
-    value = _knn_point_estimate(x, k)
+    ext, scratch = np.empty(n + 2 * k), np.empty((3, n))
+    ext[k:k + n] = x
+    value = _knn_point_estimate(ext, n, k, scratch)
 
     m = max(n // 2, k + 1)
     boot_rng = np.random.default_rng(_BOOT_SEED)
     folds = np.empty(BOOTSTRAP_FOLDS)
     for i in range(BOOTSTRAP_FOLDS):
-        folds[i] = _knn_point_estimate(boot_rng.choice(x, m, replace=False), k)
+        np.take(x, boot_rng.choice(n, m, replace=False), out=ext[k:k + m])
+        folds[i] = _knn_point_estimate(ext, m, k, scratch)
     stderr = float(np.std(folds, ddof=1)) * math.sqrt(m / n)
     stderr = max(stderr, 1e-12)
     return EstimateResult(value=value, stderr=stderr, n=n, k=k)

@@ -94,25 +94,25 @@ class GridDensity:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _trusted(cls, spec, values, mass_defect, error_estimate) -> GridDensity:
+        """A grid of read-only values this module has checked: no copy, no second check."""
+        g = object.__new__(cls)
+        g.__dict__.update(spec=spec, values=values, mass_defect=mass_defect,
+                          error_estimate=error_estimate)
+        return g
+
     # the values are read-only, so per-grid invariants are computed once
 
     @cached_property
     def moments(self) -> MomentSummary:
         x = self.spec.centers()
         step = self.spec.step
-        mean = float(np.sum(x * self.values) * step)
+        mean = float((x * self.values).sum() * step)
         x -= mean
         x **= 2
         x *= self.values
-        return MomentSummary(mean, float(np.sum(x) * step))
-
-
-def _normalized(values: np.ndarray, step: float,
-                out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    mass = float(values.sum() * step)
-    if mass <= 0.0:
-        raise GridError("grid carries no mass")
-    return np.divide(values, mass, out=out), abs(1.0 - mass)
+        return MomentSummary(mean, float(x.sum() * step))
 
 
 def _truncation_term(tail_mass: float) -> float:
@@ -146,9 +146,9 @@ def _tail_mass(m: DensityModel, lo: float, hi: float) -> float:
 
 
 def _sample(m: DensityModel, origin: float, step: float, count: int, tail: float) -> GridDensity:
-    """Midpoint pdf samples on ``count`` cells from ``origin``, cut by ``_live_grid``."""
+    """Midpoint pdf samples on ``count`` cells from ``origin``, cut by ``_cut``."""
     raw = np.asarray(m.pdf(origin + (np.arange(count) + 0.5) * step), dtype=float)
-    return _live_grid(raw, origin, step, _truncation_term(tail))
+    return _cut(raw, origin, step, _truncation_term(tail))
 
 
 def discretize(m: DensityModel, window_sigmas: float = 12.0, count: int = 1 << 14,
@@ -159,7 +159,7 @@ def discretize(m: DensityModel, window_sigmas: float = 12.0, count: int = 1 << 1
     1e-13 two-sided quantile range, intersected with the support, so that
     exponential-type tails stay covered at any sigma setting.  The model is
     sampled at ``count`` cells (a power of two) and cut to its live cells
-    by ``_live_grid``; the window's tail mass, the sampling mass defect and
+    by ``_cut``; the window's tail mass, the sampling mass defect and
     the dropped mass make up the error estimate.  ``window`` is ``_window``'s, if known.
     """
     if count < MIN_COUNT or count & (count - 1):
@@ -186,8 +186,7 @@ def reflect(f: GridDensity) -> GridDensity:
     """Density of -X; entropy and error bookkeeping unchanged."""
     spec = f.spec
     new_spec = GridSpec(origin=-(spec.origin + spec.width), step=spec.step, count=spec.count)
-    return GridDensity(spec=new_spec, values=f.values[::-1],
-                       mass_defect=f.mass_defect, error_estimate=f.error_estimate)
+    return GridDensity._trusted(new_spec, f.values[::-1], f.mass_defect, f.error_estimate)
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +204,7 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _live_grid(raw: np.ndarray, origin: float, step: float, inherited: float) -> GridDensity:
+def _cut(raw: np.ndarray, origin: float, step: float, inherited: float) -> GridDensity:
     """Grid of the live cells of a raw density: how every grid is made.
 
     ``raw`` holds densities on cells of the given step whose first cell
@@ -214,22 +213,27 @@ def _live_grid(raw: np.ndarray, origin: float, step: float, inherited: float) ->
     only the cells above TRIM_FLOOR of the peak are kept.  The lower cut is
     on an even index and an odd run gets one zero cell appended, so the
     count is even and the half grid in ``entropy`` pairs the same cells as
-    on the uncut grid.  The error estimate is ``inherited`` plus the mass
-    defect and the dropped mass.
+    on the uncut grid; the kept cells are normalized again.  The error
+    estimate is ``inherited`` + the mass defect + the dropped mass, in order.
     """
-    values, defect = _normalized(np.clip(raw, 0.0, None, out=raw), step, out=raw)
+    values = np.maximum(raw, 0.0, out=raw)
+    mass = float(values.sum() * step)
+    if mass <= 0.0:
+        raise GridError("grid carries no mass")
+    if not math.isfinite(mass):  # a NaN or an infinity among the values
+        raise GridError("grid values must be finite and nonnegative")
+    values /= mass
     live = values > TRIM_FLOOR * values.max()
-    lo = int(np.argmax(live)) & ~1
-    hi = live.size - int(np.argmax(live[::-1]))
+    lo = int(live.argmax()) & ~1
+    hi = live.size - int(live[::-1].argmax())
     # summed from the dropped cells: 1 - (kept mass) would round it away
     dropped = float(values[:lo].sum() + values[hi:].sum()) * step
-    kept = np.zeros((hi - lo + 1) & ~1)
-    kept[: hi - lo] = values[lo:hi]
-    kept, _ = _normalized(kept, step, out=kept)
-    spec = GridSpec(origin=origin + lo * step, step=step, count=kept.size)
-    return GridDensity(spec=spec, values=kept, mass_defect=defect,
-                       error_estimate=inherited + _truncation_term(defect)
-                       + _truncation_term(dropped))
+    kept = values[lo:hi] if (hi - lo) % 2 == 0 else np.concatenate((values[lo:hi], (0.0,)))
+    kept = kept / float(kept.sum() * step)
+    kept.flags.writeable = False
+    defect = abs(1.0 - mass)
+    return GridDensity._trusted(GridSpec(origin + lo * step, step, kept.size), kept, defect,
+                                inherited + _truncation_term(defect) + _truncation_term(dropped))
 
 
 def leaf_tail(m: DensityModel) -> float:
@@ -243,22 +247,25 @@ def convolve(parts: Sequence[tuple[GridDensity, int]],
     """Density of the sum of k copies of each (grid, k) part and (model, k) leaf.
 
     The spectrum is the product of ``rfft(grid * step) ** k`` over the parts
-    (all on one step) and ``phi(t) ** k`` over the leaves' characteristic
-    functions, at t = -2 pi j / (M step), M the smallest 5-smooth length
-    that holds the support; one irfft and ``_live_grid`` finish the sum on
-    the parts' cell centers.  The whole cells of the leaves' summed centers
-    rotate the output; only the rest is a phase factor.  err adds k times
-    each part's, k times each leaf's tail term (``leaf_tail``, or ``tails``
-    in leaf order), and SAMPLING_COEF * step^2 / var per added copy, var the
+    (all on one step, transformed together as the rows of one zero-padded
+    array) and ``phi(t) ** k`` over the leaves' characteristic functions, at
+    t = -2 pi j / (M step), M the smallest 5-smooth length that holds the
+    support; one irfft and ``_cut`` finish the sum on the parts' cell
+    centers.  The whole cells of the leaves' summed centers rotate the
+    output; only the rest is a phase factor.  err adds k times each part's,
+    k times each leaf's tail term (``leaf_tail``, or ``tails`` in leaf
+    order), and SAMPLING_COEF * step^2 / var per added copy, var the
     partial sum's variance: what a discrete convolution of midpoint grids
     loses (Sheppard's correction), unseen by the Richardson estimate on
-    densities with jumps.  Parts are ordered by content first;
-    one part of one copy and no leaves is returned as it is.
+    densities with jumps.  Parts are ordered by (count, origin, k), then
+    values; one part of one copy and no leaves is returned as it is.
     """
     if any(k < 1 for _, k in (*parts, *leaves)):
         raise GridError("every part and leaf of a sum needs k >= 1 copies")
-    parts = sorted(parts, key=lambda p: (p[0].spec.count, p[0].spec.origin, p[1],
-                                         p[0].values.tobytes()))
+    keys = [(g.spec.count, g.spec.origin, k) for g, k in parts]
+    if len(set(keys)) < len(keys):  # only a tie copies the values, to compare their bytes
+        keys = [(*key, g.values.tobytes()) for key, (g, _) in zip(keys, parts)]
+    parts = [p for _, p in sorted(zip(keys, parts), key=lambda kp: kp[0])]
     if not leaves and len(parts) == 1 and parts[0][1] == 1:
         return parts[0][0]
     step = parts[0][0].spec.step
@@ -278,9 +285,11 @@ def convolve(parts: Sequence[tuple[GridDensity, int]],
     first = math.floor(lo / step)
     n += math.ceil(hi / step) - first
     size = _fft_length(n)
+    rows = np.zeros((len(parts), size))
+    for row, (g, _) in zip(rows, parts):
+        np.multiply(g.values, step, out=row[:g.values.size])
     spec = None
-    for g, k in parts:
-        s = np.fft.rfft(g.values * step, size)
+    for s, (_, k) in zip(np.fft.rfft(rows, size), parts):
         # not np.power(s, k, out=s): for k = 2 it differs from s ** 2 in the last bit
         if k > 1:
             s **= k
@@ -295,7 +304,10 @@ def convolve(parts: Sequence[tuple[GridDensity, int]],
         whole = round(shift / step)
         spec *= np.exp(1j * (shift - whole * step) * t)
     dens = np.fft.irfft(spec, size)
-    dens = (np.roll(dens, whole - first) if leaves else dens)[:n]
+    if leaves:  # the first n cells of np.roll(dens, r)
+        r = (whole - first) % size
+        dens = np.concatenate((dens[size - r:size - r + n], dens[:max(n - r, 0)]))
+    dens = dens[:n]
     dens /= step
     sampling = var = 0.0
     for v, k in ([(g.moments.variance, k) for g, k in parts]
@@ -304,14 +316,14 @@ def convolve(parts: Sequence[tuple[GridDensity, int]],
         sampling += sum(SAMPLING_COEF * step * step / max(var + j * v, step * step)
                         for j in range(2 if var == 0.0 else 1, k + 1))
         var += k * v
-    return _live_grid(dens, origin + first * step, step, inherited + sampling)
+    return _cut(dens, origin + first * step, step, inherited + sampling)
 
 
 def _plain_entropy(values: np.ndarray, step: float) -> float:
-    v = values
-    mask = v > DENSITY_FLOOR
-    vv = v[mask]
-    return float(-np.sum(vv * np.log(vv)) * step)
+    v = values if values.min() > DENSITY_FLOOR else values[values > DENSITY_FLOOR]
+    vlogv = np.log(v)
+    vlogv *= v
+    return float(-vlogv.sum() * step)
 
 
 def entropy(f: GridDensity) -> tuple[float, float]:
@@ -334,8 +346,19 @@ def gaussian_fit(f: GridDensity) -> Gaussian:
     return Gaussian(m.mean, m.variance)
 
 
-def _plain_kl(values: np.ndarray, ref: np.ndarray, step: float) -> float:
+def _both_grids(f: GridDensity) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """(values, centers, step) of f and of its half grid, which merges f's cell pairs."""
+    x = f.spec.centers()
+    half = np.add(f.values[0::2], f.values[1::2])
+    half *= 0.5
+    return [(f.values, x, f.spec.step), (half, 0.5 * (x[0::2] + x[1::2]), 2.0 * f.spec.step)]
+
+
+def _plain_kl(g: DensityModel, values: np.ndarray, x: np.ndarray, step: float) -> float:
+    ref = np.asarray(g.pdf(x), dtype=float)
     mask = values > DENSITY_FLOOR
+    if np.any(ref[mask] <= 0.0):
+        raise GridError("reference density vanishes inside the grid support")
     vv, rr = values[mask], ref[mask]
     return float(np.sum(vv * (np.log(vv) - np.log(rr))) * step)
 
@@ -348,22 +371,8 @@ def kl_divergence(f: GridDensity, g: DensityModel) -> tuple[float, float]:
     ``entropy``.  Nonnegative up to numerical error; values within the error
     band are clamped to zero.
     """
-    x = f.spec.centers()
-    ref = np.asarray(g.pdf(x), dtype=float)
-    mask = f.values > DENSITY_FLOOR
-    if np.any(ref[mask] <= 0.0):
-        raise GridError("reference density vanishes inside the grid support")
-    val = _plain_kl(f.values, ref, f.spec.step)
-
-    half_vals = 0.5 * (f.values[0::2] + f.values[1::2])
-    half_x = 0.5 * (x[0::2] + x[1::2])
-    half_ref = np.asarray(g.pdf(half_x), dtype=float)
-    half_mask = half_vals > DENSITY_FLOOR
-    if np.any(half_ref[half_mask] <= 0.0):
-        raise GridError("reference density vanishes inside the grid support")
-    val_half = _plain_kl(half_vals, half_ref, 2.0 * f.spec.step)
+    val, val_half = (_plain_kl(g, *grid) for grid in _both_grids(f))
     err = max(abs(val - val_half), 1e-12) + f.error_estimate
-
     if val < 0.0:
         if val < -err:
             raise GridError(f"divergence {val:.3g} below -err={-err:.3g}; grid inconsistent")
@@ -371,10 +380,13 @@ def kl_divergence(f: GridDensity, g: DensityModel) -> tuple[float, float]:
     return val, err
 
 
-def l1_distance(f: GridDensity, g: DensityModel) -> float:
-    """Grid estimate of the L1 distance between f and a model density."""
-    x = f.spec.centers()
-    ref = np.asarray(g.pdf(x), dtype=float)
-    inside = float(np.sum(np.abs(f.values - ref)) * f.spec.step)
-    # model mass outside the grid window counts fully toward the distance
-    return inside + _tail_mass(g, f.spec.origin, f.spec.origin + f.spec.width)
+def l1_distance(f: GridDensity, g: DensityModel) -> tuple[float, float]:
+    """Grid estimate of the L1 distance between f and a model density, and its err.
+
+    err is a Richardson estimate, as in ``entropy``.  Model mass outside the
+    grid window counts fully toward the distance.
+    """
+    inside, half = (float(np.sum(np.abs(values - g.pdf(x))) * step)
+                    for values, x, step in _both_grids(f))
+    return (inside + _tail_mass(g, f.spec.origin, f.spec.origin + f.spec.width),
+            abs(inside - half))

@@ -297,7 +297,7 @@ def _continuous_job(args, ctx) -> list[InequalityReport]:
         out += decide(ctx, lambda rung: [run_check(check, picks, rung, dict(params),
                                                    extra_err=extra)],
                       lambda note: [skipped(check_id, note, dict(params),
-                                            tuple(m.to_dict() for m in picks))])
+                                            tuple(m.echo for m in picks))])
     return out
 
 

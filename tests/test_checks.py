@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import math
 
@@ -567,6 +568,20 @@ class TestRandomizedCorpus:
         suite, _ = default_suite
         assert suite.summary() == {"holds": 648, "violated": 0, "inconclusive": 38,
                                    "skipped": 0}
+
+    def test_default_suite_report_bytes(self, default_suite):
+        # the whole report, byte for byte: a faster sum path must not move a bit
+        report, _ = default_suite
+        text = suite.serialize_report(report)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "748043f9b8819b81"
+
+    def test_echoes_are_shared(self, ctx):
+        # one dict per law, so the report writer formats each law once
+        x, y = Gaussian(0.0, 1.0), Laplace(0.5, 2.0)
+        a = run_check(CHECKS["lower_bound"], [x, y], ctx)
+        b = run_check(CHECKS["sum_difference"], [y, x], ctx)
+        assert a.inputs[0] is b.inputs[1] is x.echo == x.to_dict()
+        assert a.to_dict()["inputs"][1] is y.echo
 
     def test_default_suite_ladder_work(self, monkeypatch):
         # evaluations per rung: the fine count decides one c3122 entry, and the

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -365,6 +366,81 @@ def test_import_loads_no_process_pool():
                                  "or m == 'concurrent.futures.process'") == "[]"
 
 
+# catalog laws drawn over the default corpus's parameter ranges
+_laws = st.one_of(
+    st.builds(Gaussian, st.floats(-3, 3), st.floats(0.25, 9.0)),
+    st.builds(lambda lo, w: Uniform(lo, lo + w), st.floats(-3, 3), st.floats(0.5, 6.0)),
+    st.builds(Exponential, st.floats(1 / 3, 3), st.floats(-2, 2), st.booleans()),
+    st.builds(Laplace, st.floats(-3, 3), st.floats(0.3, 3.0)),
+)
+
+
+def _assert_trusted(g):
+    """What GridDensity checks, held by a grid the module made without those checks."""
+    v = g.values
+    assert not v.flags.writeable and (v.base is None or not v.base.flags.writeable)
+    assert v.shape == (g.spec.count,) and g.spec.count % 2 == 0
+    assert np.isfinite(v).all() and v.min() >= 0.0
+    assert v.sum() * g.spec.step == pytest.approx(1.0, abs=1e-12)
+    assert math.isfinite(g.mass_defect) and g.error_estimate >= 0.0
+
+
+class TestTrustedGrids:
+    """Grids that ``discretize``, ``resample`` and ``convolve`` build skip
+    ``GridDensity``'s copy and checks, and keep its invariants."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_laws, _laws, st.sampled_from([1, -1]))
+    def test_invariants(self, x, y, sign):
+        count = MIN_COUNT * 8
+        f = discretize(x, count=count)
+        # the mass defect is |1 - mass| of the clipped samples, before normalization
+        lo, hi, _ = grids._window(x, 12.0)
+        step = (hi - lo) / count
+        raw = np.maximum(x.pdf(lo + (np.arange(count) + 0.5) * step), 0.0)
+        assert f.mass_defect == abs(1.0 - float(raw.sum() * step))
+        g = resample(y, f.spec.step * 1.37)
+        h = resample(x, g.spec.step)
+        for grid in (f, g, h, reflect(g), convolve([(g, 1), (h, 2)]),
+                     convolve([(g, 1)], [(x if sign > 0 else x.affine(-1.0, 0.0), 1)])):
+            _assert_trusted(grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_density_raises(self, bad):
+        class Broken(Gaussian):
+            def pdf(self, x):
+                out = super().pdf(x)
+                out[len(out) // 2] = bad
+                return out
+
+        for make in (lambda m: discretize(m, count=MIN_COUNT),
+                     lambda m: resample(m, 0.01)):
+            with pytest.raises(GridError, match="grid values must be finite and nonnegative"):
+                make(Broken(0.0, 1.0))
+
+    def test_outside_construction_copies_and_checks(self):
+        raw = np.full(4, 2.5)
+        g = GridDensity(GridSpec(0.0, 0.1, 4), raw, 0.0, 0.0)
+        raw[0] = 7.0
+        assert g.values[0] == 2.5 and not g.values.flags.writeable
+        for bad in (math.nan, -1.0, math.inf):
+            with pytest.raises(GridError, match="grid values must be finite and nonnegative"):
+                GridDensity(GridSpec(0.0, 0.1, 4), np.array([1.0, bad, 1.0, 1.0]), 0.0, 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 40000), st.integers(0, 2 ** 32 - 1))
+    def test_stacked_rfft_is_per_row_rfft(self, parts, n, seed):
+        # convolve transforms its parts as the zero-padded rows of one array
+        size = grids._fft_length(n)
+        rng = np.random.default_rng(seed)
+        rows = [rng.random(rng.integers(1, size + 1)) for _ in range(parts)]
+        stack = np.zeros((parts, size))
+        for row, values in zip(stack, rows):
+            row[:values.size] = values
+        for s, values in zip(np.fft.rfft(stack, size), rows):
+            assert s.tobytes() == np.fft.rfft(values, size).tobytes()
+
+
 class TestTransformCount:
     """Deterministic guard on FFT work: count the transforms a sum makes."""
 
@@ -513,8 +589,24 @@ class TestKl:
         g = discretize(model)
         fit = gaussian_fit(g)
         d, _ = kl_divergence(g, fit)
-        l1 = l1_distance(g, fit)
+        l1, _ = l1_distance(g, fit)
         assert 0.5 * l1 * l1 <= d + g.error_estimate + 1e-6
+
+    @pytest.mark.parametrize("count", [1 << 11, 1 << 14])
+    def test_l1_err_covers_the_quadrature_error(self, count):
+        # a Uniform's grid carries no err of its own; the exact L1 distance to the
+        # grid's Gaussian fit splits at the two points where the densities cross
+        u = Uniform(-2.804, -1.283)
+        g = discretize(u, count=count)
+        fit = gaussian_fit(g)
+        l1, err = l1_distance(g, fit)
+        mu, sd, w = mpmath.mpf(fit.mean), mpmath.sqrt(fit.variance), mpmath.mpf(u.width)
+        d = sd * mpmath.sqrt(2 * mpmath.log(w / (sd * mpmath.sqrt(2 * mpmath.pi))))
+        ends = [mpmath.mpf(u.lower), mu - d, mu + d, mpmath.mpf(u.upper)]
+        exact = sum(mpmath.quad(lambda x: abs(1 / w - mpmath.npdf(x, mu, sd)), [a, b])
+                    for a, b in zip(ends, ends[1:]))
+        exact += mpmath.ncdf(ends[0], mu, sd) + 1 - mpmath.ncdf(ends[-1], mu, sd)
+        assert 0 < abs(l1 - float(exact)) <= err
 
 
 # (weights, component standard deviations) of centred Gaussian mixtures

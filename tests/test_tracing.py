@@ -34,6 +34,8 @@ def test_tracer_sees_every_layer(monkeypatch):
     metrics = tracing.layer_metrics(tracer.take())
     assert metrics["checks.ctx_entropy.calls"] > 0
     assert metrics["grids.convolve.calls"] > 0
+    assert metrics["grids.convolve.cells"] > 0
+    assert metrics["grids.entropy.calls"] > 0
     assert metrics["grids.resample.calls"] > 0
     assert metrics["checks.family.plunnecke_ruzsa.s"] > 0
     assert metrics["discrete.check_covering_lemma.s"] > 0
