@@ -94,37 +94,41 @@ class Approx(_ValueErr):
     """
 
     def __new__(cls, value: float, err: float = 0.0, form: dict | None = None):
-        self = tuple.__new__(cls, (value, err))
-        self.form = {object(): 1.0} if form is None else form
-        return self
+        return _approx(value, err, {object(): 1.0} if form is None else form)
 
     @property
     def exact(self) -> bool:
         """True when no grid count moves the value: its form is a constant."""
-        return all(key == () for key in self.form)
+        return self.form.keys() <= {()}
 
     def __add__(self, other: Approx) -> Approx:
-        form = dict(self.form)
+        form = self.form.copy()
         for key, c in other.form.items():
             form[key] = form.get(key, 0.0) + c
-        return Approx(self.value + other.value, self.err + other.err, form)
+        return _approx(self[0] + other[0], self[1] + other[1], form)
 
     def __sub__(self, other: Approx) -> Approx:
-        form = dict(self.form)
+        form = self.form.copy()
         for key, c in other.form.items():
             form[key] = form.get(key, 0.0) - c
-        return Approx(self.value - other.value, self.err + other.err, form)
+        return _approx(self[0] - other[0], self[1] + other[1], form)
 
     def __mul__(self, c: float) -> Approx:
-        return Approx(c * self.value, abs(c) * self.err,
-                      {key: c * v for key, v in self.form.items()})
+        return _approx(c * self[0], abs(c) * self[1], {key: c * v for key, v in self.form.items()})
 
     __rmul__ = __mul__
 
 
+def _approx(value: float, err: float, form: dict) -> Approx:
+    """An ``Approx`` built without the call through its class, which the arithmetic repeats."""
+    self = tuple.__new__(Approx, (value, err))
+    self.form = form
+    return self
+
+
 def Exact(value: float, err: float = 0.0) -> Approx:
     """A constant or a closed form: its err is float round-off, and no grid count moves it."""
-    return Approx(value, err, {(): value})
+    return _approx(value, err, {(): value})
 
 
 def exact_entropy(*terms: tuple[int, DensityModel]) -> Approx | None:

@@ -4,8 +4,8 @@ Everything here is exhaustive computation on dense probability tables, so
 checks are exact up to 1e-12 float accumulation: there is no numerical
 error band to argue about, and identities must land on the nose.  The
 sumset checks are the ones registered in ``entrolab.checks``, run on the
-group backend ``_group_entropy``, which folds raw probability vectors
-through the same gathers and renormalizations as ``sum_pmf`` and
+group backend ``_fold_entropies``, which folds raw probability vectors, a
+row per trial, through the gathers and renormalizations of ``sum_pmf`` and
 ``reflect_pmf``.  This is also where the results live that are true for
 Shannon entropy but fail for differential entropy (``sum_upper``,
 functional submodularity, the covering identity).
@@ -31,7 +31,9 @@ __all__ = [
     "check_functional_submodularity",
     "check_covering_lemma",
     "check_discrete_registry",
+    "registry_reports",
     "random_pmf",
+    "row_laws",
     "GROUP_CHECKS",
     "DISCRETE_CHECK_IDS",
     "DISCRETE_REGISTRY_ORDER",
@@ -92,20 +94,21 @@ class DiscreteJoint:
         return np.transpose(out, perm)
 
 
-def _normalized(p: np.ndarray, what: str = "probabilities") -> np.ndarray:
-    """p / p.sum() after checking that p is a finite, nonnegative law.
+def _normalized(p: np.ndarray, what: str = "probabilities", axis: int | None = None):
+    """p / p.sum() after checking that p is a finite, nonnegative law; with
+    axis=-1, each row over its own sum, bit for bit as alone.
 
     Every stored law goes through here: a drawn ``DiscretePmf``, a joint
     table, and each intermediate of the group backend's fold.  A NaN fails
     both comparisons, so one min and one sum screen every entry.
     """
-    total = p.sum()
-    if not (p.min() >= 0.0 and abs(total - 1.0) <= 1e-9):
+    total = p.sum(axis=axis, keepdims=axis is not None)
+    if not (p.min() >= 0.0 and (off := abs(total - 1.0)).max() <= 1e-9):
         if not np.isfinite(p).all():
             raise ValueError(f"{what}: {np.count_nonzero(~np.isfinite(p))} non-finite entries")
         if p.min() < 0.0:
             raise ValueError(f"{what} must be nonnegative")
-        raise ValueError(f"{what} sum to {float(total)}")
+        raise ValueError(f"{what} sum to {float(np.ravel(total)[np.argmax(off)])}")
     return p / total
 
 
@@ -131,7 +134,7 @@ def sum_pmf(p: DiscretePmf, q: DiscretePmf) -> DiscretePmf:
     """
     if p.group_order != q.group_order:
         raise ValueError("group orders differ")
-    return DiscretePmf(p.group_order, _convolve(p.probs, q.probs))
+    return DiscretePmf(p.group_order, _convolve(p.probs[None], q.probs[None])[0])
 
 
 def reflect_pmf(p: DiscretePmf) -> DiscretePmf:
@@ -147,8 +150,10 @@ def _gathers(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _convolve(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Unnormalized law of X + Y on raw vectors: p . q[(s - x) mod n] per row s."""
-    return np.vecdot(q[_gathers(len(p))[1]], p)
+    """Unnormalized laws of X + Y for (trials, n) stacks, p[t] . q[t, (s - x) mod n] per cell s:
+    one 2-D ``np.vecdot`` sums each row as a one-trial call does (3-D forms do not)."""
+    t, n = p.shape
+    return np.vecdot(q.take(_gathers(n)[1], 1).reshape(-1, n), np.repeat(p, n, 0)).reshape(t, n)
 
 
 def difference_pmf(p: DiscretePmf, q: DiscretePmf) -> DiscretePmf:
@@ -157,6 +162,11 @@ def difference_pmf(p: DiscretePmf, q: DiscretePmf) -> DiscretePmf:
 
 def random_pmf(rng: np.random.Generator, group_order: int) -> DiscretePmf:
     return DiscretePmf(group_order, rng.dirichlet(np.ones(group_order)))
+
+
+def row_laws(weights: np.ndarray) -> np.ndarray:
+    """Each row of nonnegative weights over its own sum, as ``DiscretePmf`` stores a law."""
+    return _normalized(weights, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,28 +200,26 @@ def check_functional_submodularity(
     if np.any(support & ~consistent):
         raise ValueError("F(X1) != G(X2) on the support; common value ill-defined")
 
-    h1 = _entropy_of(joint.marginal([0]))
-    h2 = _entropy_of(joint.marginal([1]))
-    h0 = _entropy_of(np.bincount(f_arr, weights=joint.marginal([0])))
+    m1 = joint.marginal([0])
+    h1, h2 = _entropy_of(m1), _entropy_of(joint.marginal([1]))
+    h0 = _entropy_of(np.bincount(f_arr, weights=m1))
     h12 = _entropy_of(np.bincount(r_arr.ravel(), weights=joint.table.ravel()))
     return make_report("functional_submodularity", lhs=h12 + h0, rhs=h1 + h2,
                        err=EXACT_TOL + extra_err)
 
 
-def _covering_joint(p: DiscretePmf, q: DiscretePmf) -> DiscreteJoint:
+def _covering_joint(p: DiscretePmf, q: DiscretePmf, s_pmf: np.ndarray) -> DiscreteJoint:
     """Joint of (X1, X2, Y1, Y2): two conditionally independent copies of
-    (X, Y) given X + Y, for independent X ~ p, Y ~ q."""
+    (X, Y) given X + Y, for independent X ~ p, Y ~ q; s_pmf is the law of X + Y."""
     n = p.group_order
-    s_pmf = sum_pmf(p, q).probs
+    live = np.flatnonzero(s_pmf > 0.0)
+    y = _gathers(n)[1][live]  # y = s - x by (s, x); no two s share a cell of the table
+    # conditional law of (X, Y) given X + Y = s, then its (x1, x2) weights
+    cond = p.probs * q.probs[y] / s_pmf[live, None]
+    pair = cond[:, :, None] * cond[:, None, :] * s_pmf[live, None, None]
     idx = np.arange(n)
     table = np.zeros((n, n, n, n))
-    for s in range(n):
-        if s_pmf[s] <= 0.0:
-            continue
-        # conditional law of (X, Y) given X + Y = s, supported on y = s - x
-        cond = p.probs * q.probs[(s - idx) % n] / s_pmf[s]
-        pair = np.outer(cond, cond) * s_pmf[s]  # (x1, x2) weights
-        table[idx[:, None], idx[None, :], ((s - idx) % n)[:, None], ((s - idx) % n)[None, :]] += pair
+    table[idx[:, None], idx, y[:, :, None], y[:, None, :]] = pair
     return DiscreteJoint((n, n, n, n), table)
 
 
@@ -227,9 +235,10 @@ def check_covering_lemma(p: DiscretePmf, q: DiscretePmf,
     """
     if p.group_order != q.group_order:
         raise ValueError("group orders differ")
-    joint = _covering_joint(p, q)
+    s = sum_pmf(p, q)
+    joint = _covering_joint(p, q, s.probs)
     lhs = discrete_entropy(joint) - discrete_entropy(joint, [3])
-    rhs = 2.0 * p.entropy() + q.entropy() - sum_pmf(p, q).entropy()
+    rhs = 2.0 * p.entropy() + q.entropy() - s.entropy()
     return make_report("covering_lemma", lhs=lhs, rhs=rhs, err=EXACT_TOL + extra_err,
                        kind="identity")
 
@@ -238,19 +247,19 @@ def check_covering_lemma(p: DiscretePmf, q: DiscretePmf,
 # the sumset registry of entrolab.checks, on the exact group backend
 
 
-def _group_entropy(*terms: tuple[int, DiscretePmf]) -> Approx:
-    """Exact entropy of a signed sum of independent pmfs, folded left to right.
-
-    The fold runs on raw vectors with the arithmetic of ``reflect_pmf`` and
-    ``sum_pmf``, each step renormalized by ``_normalized`` as a
-    ``DiscretePmf`` would be, so it gives their floats bit for bit without
-    building a ``DiscretePmf`` per step.
-    """
+def _fold_entropies(terms: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Exact entropy of each trial's signed sum of independent laws, folded left to
+    right; a term is (sign, laws), one (trials, n) row per trial.  Each step has the
+    arithmetic of ``reflect_pmf`` and ``sum_pmf`` and is renormalized as a
+    ``DiscretePmf`` would be, so each row gives their floats bit for bit."""
     out = None
-    for sign, p in terms:
-        v = p.probs if sign > 0 else _normalized(p.probs[_gathers(p.group_order)[0]])
-        out = v if out is None else _normalized(_convolve(out, v))
-    return Exact(_entropy_of(out))
+    for sign, v in terms:
+        v = v if sign > 0 else _normalized(v.take(_gathers(v.shape[1])[0], 1), axis=-1)
+        out = v if out is None else _normalized(_convolve(out, v), axis=-1)
+    if out.min() > 0.0:
+        return -(out * np.log(out)).sum(axis=-1)
+    # dropping a row's zero cells regroups its sum, so then each row goes alone
+    return np.array([_entropy_of(row) for row in out])
 
 
 GROUP_CHECKS: dict[str, CheckDef] = {c.id: c for c in REGISTRY if c.group}
@@ -270,10 +279,26 @@ def check_discrete_registry(
 
     extra_err widens the error band as in ``check_functional_submodularity``.
     """
+    if check_id in GROUP_CHECKS and len({p.group_order for p in pmfs}) > 1:
+        raise ValueError("all pmfs must share one group order")
+    return registry_reports(check_id, np.array([[p.probs for p in pmfs]]), params, extra_err)[0]
+
+
+def registry_reports(check_id: str, probs: np.ndarray, params: dict | None = None,
+                     extra_err: float = 0.0) -> list[InequalityReport]:
+    """``check_discrete_registry`` on each trial of probs, (trials, inputs, n) laws
+    as ``DiscretePmf`` stores them.  One ``evaluate`` pass over placeholder inputs
+    0, 1, ... records the check's terms as (sign, input) patterns; each pattern is
+    folded over all trials at once, and each trial's report reads its row."""
     if check_id not in GROUP_CHECKS:
         raise KeyError(f"unknown discrete check '{check_id}'")
-    if len({p.group_order for p in pmfs}) > 1:
-        raise ValueError("all pmfs must share one group order")
-    return GROUP_CHECKS[check_id].report(
-        f"discrete.{check_id}", _group_entropy, pmfs, params or {}, EXACT_TOL + extra_err,
-        tuple({"group_order": p.group_order, "probs": p.probs.tolist()} for p in pmfs))
+    check, params, inputs = GROUP_CHECKS[check_id], params or {}, range(probs.shape[1])
+    laws = list(np.ascontiguousarray(probs.transpose(1, 0, 2)))
+    patterns: dict[tuple, Approx] = {}
+    check.evaluate(lambda *terms: patterns.setdefault(terms, Exact(0.0)), inputs, params)
+    table = {terms: _fold_entropies([(s, laws[i]) for s, i in terms]).tolist()
+             for terms in patterns}
+    return [check.report(f"discrete.{check_id}", lambda *terms: Exact(table[terms][t]),
+                         inputs, params, EXACT_TOL + extra_err,
+                         tuple({"group_order": len(p), "probs": p} for p in trial))
+            for t, trial in enumerate(probs.tolist())]

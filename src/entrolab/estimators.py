@@ -60,11 +60,14 @@ def _knn_point_estimate(ext: np.ndarray, n: int, k: int, scratch: np.ndarray) ->
     ext[:k] = -np.inf
     ext[k + n:2 * k + n] = np.inf  # xs[i] sits at ext[i + k]
     eps, left, right = scratch[:, :n]
-    eps.fill(np.inf)
-    for a in range(k + 1):
+    # a = 0 is R_k alone and a = k is L_k alone, as L_0 = R_0 = 0 and no gap is negative
+    np.subtract(ext[2 * k:2 * k + n], xs, out=eps)
+    for a in range(1, k + 1):
         np.subtract(xs, ext[k - a:k - a + n], out=left)  # L_a
-        np.subtract(ext[2 * k - a:2 * k - a + n], xs, out=right)  # R_{k-a}
-        np.minimum(eps, np.maximum(left, right, out=left), out=eps)
+        if a < k:
+            np.subtract(ext[2 * k - a:2 * k - a + n], xs, out=right)  # R_{k-a}
+            np.maximum(left, right, out=left)
+        np.minimum(eps, left, out=eps)
     np.maximum(eps, 1e-300, out=eps)
     eps *= 2.0
     return float(_psi_gap(n, k) + np.mean(np.log(eps, out=eps)))

@@ -39,17 +39,15 @@ class DegenerateSubsetError(ValueError):
     """Entropy query on a singular covariance block (entropy would be -inf)."""
 
 
-def _nonsingular_eigs(mat: np.ndarray, what: str) -> np.ndarray:
-    """Ascending eigenvalues of a covariance block; raises when the block is singular.
+def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh``; a 1 x 1 block is its own eigenvalue, as LAPACK returns it."""
+    return mat[..., 0] if mat.shape[-1] == 1 else np.linalg.eigvalsh(mat)
 
-    The 0 x 0 block of an empty label set has no eigenvalues and is not
-    singular: its log-determinant is 0, so h of nothing is 0 and
-    conditioning on nothing leaves a law unchanged.
-    """
-    eigs = np.linalg.eigvalsh(mat)
-    if len(eigs) and eigs[0] <= _SINGULAR_RTOL * max(1.0, eigs[-1]):
-        raise DegenerateSubsetError(f"degenerate subset: {what} is singular")
-    return eigs
+
+def _singular(eigs: np.ndarray) -> bool:
+    """Whether a covariance block with these ascending eigenvalues is singular.  The 0 x 0
+    block of no labels is not: h of nothing is 0, and conditioning on nothing is no change."""
+    return bool(len(eigs) and eigs[0] <= _SINGULAR_RTOL * max(1.0, eigs[-1]))
 
 
 @dataclass(frozen=True)
@@ -73,23 +71,24 @@ class GaussianVector:
         scale = float(np.abs(cov).max(initial=1.0))
         if asym > 1e-12 * max(1.0, scale):
             raise ValueError(f"covariance asymmetric by {asym:.3g}")
-        cov = 0.5 * (cov + cov.T)
-        if k:
-            eigs = np.linalg.eigvalsh(cov)
+        self._settle(names, mean, 0.5 * (cov + cov.T), scale)
+
+    def _settle(self, names: tuple[str, ...], mean: np.ndarray, cov: np.ndarray,
+                scale: float | None = None) -> None:
+        """Store a symmetric covariance, roundoff-negative eigenvalues clamped to zero;
+        scale is its largest |entry| before symmetrization, if that was needed."""
+        if names and (eigs := _eigvalsh(cov))[0] < 0.0:
+            scale = float(np.abs(cov).max(initial=1.0)) if scale is None else scale
             if eigs[0] < -1e-10 * max(1.0, scale):
                 raise ValueError(f"covariance has negative eigenvalue {eigs[0]:.3g}")
-            if eigs[0] < 0.0:
-                # clamp roundoff-negative eigenvalues to zero
-                w, v = np.linalg.eigh(cov)
-                cov = (v * np.clip(w, 0.0, None)) @ v.T
-                cov = 0.5 * (cov + cov.T)
+            w, v = np.linalg.eigh(cov)
+            cov = (v * np.clip(w, 0.0, None)) @ v.T
+            cov = 0.5 * (cov + cov.T)
         mean.flags.writeable = False
         cov.flags.writeable = False
-        # label -> position, read by _idx
-        object.__setattr__(self, "_pos", {lb: i for i, lb in enumerate(names)})
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        # label -> position, read by _idx; the conditioning sets found nonsingular
+        vars(self).update(_pos={lb: i for i, lb in enumerate(names)}, _conditioning=set(),
+                          names=names, mean=mean, cov=cov)
 
     # -- helpers ---------------------------------------------------------
 
@@ -105,16 +104,24 @@ class GaussianVector:
 
     @staticmethod
     def _logdet_pd(mat: np.ndarray, what: str) -> float:
-        return float(np.log(_nonsingular_eigs(mat, what)).sum())
+        eigs = _eigvalsh(mat)
+        if _singular(eigs):
+            raise DegenerateSubsetError(f"degenerate subset: {what} is singular")
+        return float(np.log(eigs).sum())
 
     def _bordered(self, name: str, mean: float, row: np.ndarray, var: float) -> "GaussianVector":
-        """This vector with one more coordinate: its mean, covariance row and variance."""
+        """This vector with one more coordinate: its mean, covariance row and variance.
+        The bordered covariance is symmetric as written, so only its eigenvalues are checked."""
+        if name in self._pos:
+            raise ValueError("variable names must be unique")
         k = len(self.names)
         cov = np.empty((k + 1, k + 1))
         cov[:k, :k] = self.cov
         cov[:k, k] = cov[k, :k] = row
         cov[k, k] = var
-        return GaussianVector(self.names + (name,), np.append(self.mean, mean), cov)
+        out = object.__new__(GaussianVector)
+        out._settle(self.names + (name,), np.concatenate((self.mean, (mean,))), cov)
+        return out
 
     # -- entropy queries --------------------------------------------------
 
@@ -131,28 +138,36 @@ class GaussianVector:
         A degenerate conditional law (A determined by B) is reported as
         -inf, which is its true differential entropy.
         """
-        ia, ib = self._idx(a), self._idx(b)
+        return self.conditional_entropies([a], b)[0]
+
+    def conditional_entropies(self, queries: Sequence[Sequence[str]],
+                              b: Sequence[str]) -> list[float]:
+        """h(A | B) for each A of queries, as ``conditional_entropy`` gives it: queries of
+        one size share a stacked solve and ``eigvalsh``, which give what a call per query does."""
+        ib, ias = self._idx(b), [self._idx(a) for a in queries]
         sbb = self._block(ib, ib)
-        _nonsingular_eigs(sbb, "conditioning block")
-        sab = self._block(ia, ib)
-        schur = self._block(ia, ia) - sab @ np.linalg.solve(sbb, sab.T)
-        schur = 0.5 * (schur + schur.T)
-        try:
-            logdet = self._logdet_pd(schur, "conditional covariance")
-        except DegenerateSubsetError:
-            return -math.inf
-        return 0.5 * (len(ia) * LN_2PI_E + logdet)
+        if (given := tuple(b)) not in self._conditioning:  # each B is checked once
+            self._logdet_pd(sbb, "conditioning block")
+            self._conditioning.add(given)
+        out = [0.0] * len(ias)
+        for k in dict.fromkeys(map(len, ias)):
+            at = [i for i, ia in enumerate(ias) if len(ia) == k]
+            ia = np.array([ias[i] for i in at], dtype=int)[..., None]
+            sab = self.cov[ia, ib]
+            solved = np.linalg.solve(sbb, sab.transpose(0, 2, 1))
+            schur = self.cov[ia, ia.transpose(0, 2, 1)] - sab @ solved
+            for i, e in zip(at, _eigvalsh(0.5 * (schur + schur.transpose(0, 2, 1)))):
+                out[i] = -math.inf if _singular(e) else 0.5 * (k * LN_2PI_E + float(np.log(e).sum()))
+        return out
 
     def mutual_information(self, a: Sequence[str], b: Sequence[str]) -> float:
-        ha = self.joint_entropy(a)
-        hab = self.conditional_entropy(a, b)
-        return ha - hab
+        return self.joint_entropy(a) - self.conditional_entropy(a, b)
 
     def conditional_mutual_information(
         self, a: Sequence[str], b: Sequence[str], c: Sequence[str]
     ) -> float:
-        return (self.conditional_entropy(a, c) + self.conditional_entropy(b, c)
-                - self.conditional_entropy(tuple(a) + tuple(b), c))
+        h_a, h_b, h_ab = self.conditional_entropies([a, b, tuple(a) + tuple(b)], c)
+        return h_a + h_b - h_ab
 
     # -- construction -----------------------------------------------------
 
@@ -184,25 +199,31 @@ class GaussianVector:
                 raise ValueError(
                     f"conditioning set {cond} and template given-set {t_given} differ in size"
                 )
-            it = out._idx([t_target])
-            var_t = float(out._block(it, it)[0, 0])
-            mean_t = float(out.mean[it[0]])
-            if cond:
-                ic = out._idx(cond)
-                ig = out._idx(t_given)
+            idx = out._idx([t_target, *cond, *t_given])
+            it, ic, ig = idx[0], idx[1:len(cond) + 1], idx[len(cond) + 1:]
+            var_new, new_mean_val = float(out.cov[it, it]), float(out.mean[it])
+            row = np.zeros(len(out.names))
+            if len(cond) == 1:  # the products below, as scalars: one LAPACK-free 1 x 1 block
+                (c,), (g,) = ic, ig
+                sgg, stg = out.cov[g, g], out.cov[it, g]
+                if sgg <= _SINGULAR_RTOL * max(1.0, sgg):
+                    raise DegenerateSubsetError(
+                        f"degenerate subset: template conditioning block {t_given} is singular")
+                beta = stg / sgg  # a length-1 dot or matmul is 0.0 + its product
+                new_mean_val += 0.0 + beta * (out.mean[c] - out.mean[g])
+                row = 0.0 + out.cov[:, c] * beta
+                var_new = var_new - (0.0 + beta * stg) + (0.0 + (0.0 + beta * out.cov[c, c]) * beta)
+            elif cond:
                 sgg = out._block(ig, ig)
-                _nonsingular_eigs(sgg, f"template conditioning block {t_given}")
-                stg = out._block(it, ig)  # 1 x g
-                beta = np.linalg.solve(sgg, stg.ravel())
-                resid = var_t - float(beta @ stg.ravel())
-                mean_given = out.mean[ig]
-                new_mean_val = mean_t + float(beta @ (out.mean[ic] - mean_given))
+                if _singular(_eigvalsh(sgg)):
+                    raise DegenerateSubsetError(
+                        f"degenerate subset: template conditioning block {t_given} is singular")
+                stg = out.cov[it, ig]
+                beta = np.linalg.solve(sgg, stg)
+                new_mean_val += float(beta @ (out.mean[ic] - out.mean[ig]))
                 row = out.cov[:, ic] @ beta  # Cov(new, existing) = beta . Cov(C, existing)
-                var_new = resid + float(beta @ out._block(ic, ic) @ beta)
-            else:
-                new_mean_val = mean_t
-                row = np.zeros(len(out.names))
-                var_new = var_t
+                # the residual variance of the template, plus the part that C explains
+                var_new = var_new - float(beta @ stg) + float(beta @ out._block(ic, ic) @ beta)
             out = out._bordered(new_label, new_mean_val, row, var_new)
         return out
 
@@ -226,17 +247,8 @@ class BsgScenarioReport:
     mi_sum_bound: tuple[float, float, float]  # conditional-MI sum vs 16 log K
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "k": self.k,
-            "log_k": self.log_k,
-            "condition_mi": list(self.condition_mi),
-            "condition_sum": list(self.condition_sum),
-            "conclusion_a": list(self.conclusion_a),
-            "conclusion_b": list(self.conclusion_b),
-            "conclusion_c": list(self.conclusion_c),
-            "mi_sum_bound": list(self.mi_sum_bound),
-        }
+        """The fields in order, pairs and triples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
     def min_slack(self) -> float:
         return min(self.conclusion_a[2], self.conclusion_b[2], self.conclusion_c[2],
@@ -246,15 +258,14 @@ class BsgScenarioReport:
 def _correlated_pair(rho: float) -> GaussianVector:
     if not -1.0 < rho < 1.0:
         raise ValueError(f"correlation must lie in (-1, 1), got {rho}")
-    cov = np.array([[1.0, rho], [rho, 1.0]])
-    return GaussianVector(("X", "Y"), np.zeros(2), cov)
+    out = object.__new__(GaussianVector)  # symmetric as written, so only its eigenvalues are checked
+    out._settle(("X", "Y"), np.zeros(2), np.array([[1.0, rho], [rho, 1.0]]))
+    return out
 
 
 def _minimal_log_k(v: GaussianVector) -> tuple[float, tuple[float, float], tuple[float, float]]:
     """Smallest log K satisfying both scenario hypotheses, plus their sides."""
-    h_x = v.joint_entropy(["X"])
-    h_y = v.joint_entropy(["Y"])
-    h_xy = v.joint_entropy(["X", "Y"])
+    h_x, h_y, h_xy = (v.joint_entropy(labels) for labels in (["X"], ["Y"], ["X", "Y"]))
     mi_gap = h_x + h_y - h_xy  # = I(X;Y)
     s = v.with_linear("S", {"X": 1.0, "Y": 1.0})
     h_sum = s.joint_entropy(["S"])
@@ -285,17 +296,12 @@ def run_bsg_scenario(rho: float) -> BsgScenarioReport:
     log_k, condition_mi, condition_sum = _minimal_log_k(v)
     chain = v.extend_markov(_BSG_RECIPE).with_linear("S2p", {"X2": 1.0, "Yp": 1.0})
 
-    h_x = chain.joint_entropy(["X"])
-    h_y = chain.joint_entropy(["Y"])
+    h_x, h_y = chain.joint_entropy(["X"]), chain.joint_entropy(["Y"])
 
     # the five distinct h(. | X1, Y); the two conditional mutual informations
     # share three of them, each summed as conditional_mutual_information does
-    given = ["X1", "Y"]
-    h_x2 = chain.conditional_entropy(["X2"], given)
-    h_yp = chain.conditional_entropy(["Yp"], given)
-    h_s = chain.conditional_entropy(["S2p"], given)
-    h_s_yp = chain.conditional_entropy(["S2p", "Yp"], given)
-    h_s_x2 = chain.conditional_entropy(["S2p", "X2"], given)
+    h_x2, h_yp, h_s, h_s_yp, h_s_x2 = chain.conditional_entropies(
+        [["X2"], ["Yp"], ["S2p"], ["S2p", "Yp"], ["S2p", "X2"]], ["X1", "Y"])
 
     lhs_a = h_x - log_k
     lhs_b = h_y - log_k

@@ -162,6 +162,8 @@ def _lanczos_top(mass, k_off):
     # rows are written one per step; untouched rows cost no resident memory
     basis = np.empty((steps, n))
     alpha, beta = np.zeros(steps), np.zeros(steps)
+    # the tridiagonal T of the Lanczos recurrence; step k reads its leading (k+1) x (k+1) block
+    tri = np.zeros((steps, steps))
     previous = None
     for k in range(steps):
         basis[k] = v
@@ -172,8 +174,10 @@ def _lanczos_top(mass, k_off):
             w -= h @ q
             alpha[k] += h[k]
         beta[k] = float(np.linalg.norm(w))
-        t = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
-        theta = float(np.linalg.eigvalsh(t)[-1])
+        tri[k, k] = alpha[k]
+        if k:
+            tri[k - 1, k] = tri[k, k - 1] = beta[k - 1]
+        theta = float(np.linalg.eigvalsh(tri[:k + 1, :k + 1])[-1])
         if not math.isfinite(theta) or theta <= 0.0:
             return None
         done = previous is not None and abs(theta - previous) <= _RITZ_TOL * theta

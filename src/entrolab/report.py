@@ -79,7 +79,10 @@ def make_report(
     final: bool = False,
 ) -> InequalityReport:
     slack = rhs - lhs
-    return InequalityReport(
+    # every field is given, so they are stored at once, not by the frozen
+    # dataclass's __init__, which sets them one call at a time
+    report = object.__new__(InequalityReport)
+    vars(report).update(
         check_id=check_id,
         lhs=lhs,
         rhs=rhs,
@@ -92,6 +95,7 @@ def make_report(
         note=note,
         final=final,
     )
+    return report
 
 
 def skipped(check_id: str, note: str, params: dict | None = None,

@@ -38,10 +38,12 @@ from .discrete import (
     GROUP_CHECKS,
     MAX_ORDER,
     check_covering_lemma,
-    check_discrete_registry,
+    check_discrete_registry,  # not called here; looked up here by name like the others
     check_functional_submodularity,
     DiscreteJoint,
     DiscretePmf,
+    registry_reports,
+    row_laws,
 )
 from .distributions import DensityModel, ModelError, is_finite_number, make_model
 from .grids import MAX_COUNT, MIN_COUNT
@@ -314,26 +316,24 @@ def _discrete_job(args, ctx) -> list[InequalityReport]:
     order = config.discrete_group_order
     extra = float(config.tolerances.get(check_id, 0.0))
     n_trials = config.trials or config.discrete_trials
-    out = []
-    for _ in range(n_trials):
-        if check_id == "covering_lemma":
-            rep = check_covering_lemma(*_random_pmfs(rng, order, 2), extra)
-        elif check_id == "functional_submodularity":
-            rep = _random_submodularity(rng, order, extra)
-        else:
-            check = GROUP_CHECKS[check_id.removeprefix("discrete.")]
-            # a single-variant check draws no variant, so its pmf stream stays put
-            n_variants = len(check.variants)
-            params = dict(check.variants[rng.integers(n_variants) if n_variants > 1 else 0])
-            pmfs = _random_pmfs(rng, order, check.arity_for(params))
-            rep = check_discrete_registry(check.id, pmfs, params, extra)
-        out.append(rep)
-    return out
-
-
-def _random_pmfs(rng, order: int, k: int) -> list[DiscretePmf]:
-    """k uniform draws from the simplex in one call; k ``random_pmf`` calls give the same floats."""
-    return [DiscretePmf(order, p) for p in rng.dirichlet(np.ones(order), size=k)]
+    if check_id == "covering_lemma":  # one draw gives each trial's floats, as below
+        return [check_covering_lemma(DiscretePmf(order, p), DiscretePmf(order, q), extra)
+                for p, q in rng.dirichlet(np.ones(order), size=(n_trials, 2))]
+    if check_id == "functional_submodularity":
+        return [_random_submodularity(rng, order, extra) for _ in range(n_trials)]
+    check = GROUP_CHECKS[check_id.removeprefix("discrete.")]
+    arity, ones = [check.arity_for(params) for params in check.variants], np.ones(order)
+    if len(arity) == 1:
+        # no variant is drawn, so one draw for all trials gives each trial's floats
+        trials = [(0, p) for p in rng.dirichlet(ones, size=(n_trials, arity[0]))]
+    else:  # the generator draws each trial's variant just before its pmfs
+        trials = [(vi, rng.dirichlet(ones, size=arity[vi]))
+                  for vi in (int(rng.integers(len(arity))) for _ in range(n_trials))]
+    stacks = {}  # one stacked call per variant, read back in trial order
+    for vi in dict.fromkeys(vi for vi, _ in trials):
+        laws = row_laws(np.array([p for v, p in trials if v == vi]))
+        stacks[vi] = iter(registry_reports(check.id, laws, check.variants[vi], extra))
+    return [next(stacks[vi]) for vi, _ in trials]
 
 
 def _random_submodularity(rng, order: int, extra_err: float) -> InequalityReport:
@@ -352,9 +352,10 @@ def _random_submodularity(rng, order: int, extra_err: float) -> InequalityReport
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute every selected check and assemble the deterministic report."""
-    models = config.corpus_models()
+    selected = config.selected_checks()  # the corpus is drawn only where a check reads it
+    models = config.corpus_models() if {*CHECKS, "inverse"}.intersection(selected) else []
     jobs = []
-    for cid in config.selected_checks():
+    for cid in selected:
         if cid in CHECKS:
             jobs += [(cid, _continuous_job, (config, cid, vi, models))
                      for vi in range(len(CHECKS[cid].variants))]
@@ -403,31 +404,39 @@ def serialize_report(report: SuiteReport, fmt: str = "json") -> str:
     raise ConfigError(f"unknown report format '{fmt}'")
 
 
-def _object(items: list[tuple[str, str]], pad: str) -> str:
+def _members(texts: list[str], pad: str, ends: str = "[]") -> str:
+    """An array, or with ends "{}" an object, of member texts at indent ``pad``."""
     inner = pad + "  "
-    body = ",\n".join([f"{inner}{_json_str(k)}: {text}" for k, text in items])
-    return "{\n" + body + "\n" + pad + "}" if items else "{}"
-
-
-def _array(texts: list[str], pad: str) -> str:
-    inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
+    return ends[0] + "\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + ends[1] \
+        if texts else ends
 
 
 def _json(value, pad: str = "") -> str:
     """A JSON value with string keys, written at indent ``pad``."""
-    if isinstance(value, float) and math.isfinite(value):
+    kind = type(value)
+    if kind not in _KINDS:  # a subclass, as a numpy float, is written as its base
+        kind = next((t for t in _KINDS if isinstance(value, t)), None)
+    if kind is float and math.isfinite(value):
         return float.__repr__(value)
-    if isinstance(value, str):
+    if kind is str:
         return _json_str(value)
-    if isinstance(value, int) and not isinstance(value, bool):
+    if kind is int:
         return int.__repr__(value)
-    if isinstance(value, (dict, list, tuple)):
-        inner = pad + "  "
-        if isinstance(value, dict):
-            return _object([(k, _json(v, inner)) for k, v in sorted(value.items())], pad)
-        return _array([_json(v, inner) for v in value], pad)
+    if kind is dict:
+        return _members([_json_str(k) + ": " + _json(v, pad + "  ")
+                         for k, v in sorted(value.items())], pad, "{}")
+    if kind is list or kind is tuple:
+        try:  # a list of floats, as a law's probabilities, in one join; inf and nan hold an "n"
+            floats = (",\n  " + pad).join(map(float.__repr__, value))
+        except TypeError:
+            floats = "n"
+        return "[\n  " + pad + floats + "\n" + pad + "]" if value and "n" not in floats \
+            else _members([_json(v, pad + "  ") for v in value], pad)
     return json.dumps(value, allow_nan=False)  # a bool, None, or an error
+
+
+# the kinds _json writes itself, bool first: it is an int that JSON writes as true or false
+_KINDS = (bool, float, str, int, dict, list, tuple)
 
 
 def _report_json(d: dict) -> str:
@@ -447,9 +456,9 @@ def _report_json(d: dict) -> str:
             out.append(_json(value, "  "))
             continue
         for i, e in enumerate(value):
-            out += [",\n    " if i else "[\n    ", _object([
-                (k, _array([law(x) for x in v], 6 * " ") if k == "inputs" else _json(v, 6 * " "))
-                for k, v in sorted(e.items())], 4 * " ")]
+            out += [",\n    " if i else "[\n    ", _members([_json_str(k) + ": " + (
+                _members([law(x) for x in v], 6 * " ") if k == "inputs" else _json(v, 6 * " "))
+                for k, v in sorted(e.items())], 4 * " ", "{}")]
         out.append("\n  ]")
     out.append("\n}\n")
     return "".join(out)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -30,7 +31,7 @@ from entrolab.discrete import GROUP_CHECKS
 from entrolab.distributions import Exponential, Gamma, Gaussian, Laplace, Uniform
 from entrolab.estimators import estimate_functional
 from entrolab.distributions import Mixture
-from entrolab.report import skipped
+from entrolab.report import InequalityReport, make_report, skipped
 from entrolab.suite import config_from_dict, run_suite, serialize_report
 
 LN2 = math.log(2.0)
@@ -445,6 +446,26 @@ class TestLinearForms:
         value, err = h
         assert h == (value, err) and (h[0], h[1]) == (h.value, h.err) and len(h) == 2
         assert Exact(1.0, EXACT_TOL) == Approx(1.0, EXACT_TOL) == (1.0, EXACT_TOL)
+
+
+class TestReportFields:
+    @pytest.mark.parametrize("lhs,rhs,kind,degenerate", [
+        (0.25, 1.5, "inequality", False), (1.5, 0.25, "inequality", False),
+        (1.0, 1.0 + 1e-13, "identity", False), (0.25, 1.5, "inequality", True)])
+    def test_make_report_is_the_dataclass_report(self, lhs, rhs, kind, degenerate):
+        """make_report stores the fields at once; the report equals the one the
+        frozen dataclass builds, field for field and in field order, and stays frozen."""
+        law = {"kind": "uniform", "lower": 0.0, "upper": 1.0}
+        rep = make_report("c3122", lhs, rhs, 1e-12, kind=kind, params={"n": 2}, inputs=(law,),
+                          note="n", degenerate=degenerate, final=True)
+        want = InequalityReport(check_id="c3122", lhs=lhs, rhs=rhs, slack=rhs - lhs, err=1e-12,
+                                verdict=rep.verdict, kind=kind, params={"n": 2},
+                                inputs=(law,), note="n", final=True)
+        assert rep == want and list(vars(rep).items()) == list(vars(want).items())
+        assert rep.verdict == ("inconclusive" if degenerate else
+                               "holds" if kind == "identity" or rhs > lhs else "violated")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.lhs = 0.0
 
 
 class TestOneRegistry:

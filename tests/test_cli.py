@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -715,3 +716,23 @@ class TestReportWriter:
     def test_non_finite_floats_are_rejected(self):
         with pytest.raises(ValueError, match="not JSON compliant"):
             suite._json({"x": [1.0, math.inf]})
+
+
+class TestPinnedOutputs:
+    """The stdout of these commands, byte for byte, by the first 16 hex digits of its
+    sha256, and their exit status.  The discrete and bsg digests are those of the
+    per-trial group fold and the per-query Gaussian algebra that the stacked paths
+    replaced; the inverse digests changed only when the Pinsker entry's L1 err gained
+    its crossing charge."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["discrete", "--seed", "3"], "8db55f3fdb9f4c3c"),
+        (["bsg", "--sweep=-0.95:0.95:0.01"], "d1672ec7bca5b981"),
+        (["bsg", "--rho", "0.3"], "cd1c424cf9e367cc"),
+        (["inverse", "--seed", "20240501"], "094389e3b3ab67a4"),
+        (["inverse", "--seed", "0"], "b8847be6cbd9bef8"),
+    ], ids=lambda x: x if isinstance(x, str) else " ".join(x))
+    def test_stdout_digest(self, capsys, argv, digest):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

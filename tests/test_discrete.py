@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrolab.checks import Approx
+from entrolab import suite
+from entrolab.checks import Approx, Exact
 from entrolab.discrete import (
     DISCRETE_CHECK_IDS,
     DISCRETE_REGISTRY_ORDER,
     GROUP_CHECKS,
     DiscreteJoint,
     DiscretePmf,
-    _group_entropy,
+    _convolve,
+    _covering_joint,
+    _fold_entropies,
+    _normalized,
     check_covering_lemma,
     check_discrete_registry,
     check_functional_submodularity,
@@ -21,6 +25,7 @@ from entrolab.discrete import (
     discrete_entropy,
     random_pmf,
     reflect_pmf,
+    registry_reports,
     sum_pmf,
 )
 
@@ -128,6 +133,11 @@ def signed_terms(draw):
         w[draw(st.integers(0, n - 1))] += 1.0
         terms.append((draw(st.sampled_from((1, -1))), DiscretePmf(n, w / w.sum())))
     return terms
+
+
+def _group_entropy(*terms):
+    """The group backend on one trial: a signed sum of DiscretePmf, folded as one row."""
+    return Exact(float(_fold_entropies([(s, p.probs[None]) for s, p in terms])[0]))
 
 
 class TestRawFold:
@@ -332,3 +342,123 @@ class TestBruteForceOracle:
         lhs, rhs, note = check.evaluate(brute_force_entropy, pmfs, params)
         assert abs(rep.lhs - lhs.value) <= 1e-12 and abs(rep.rhs - rhs.value) <= 1e-12
         assert rep.note == note
+
+
+# -- the stacked group path: every trial of a check in one array -------------
+
+
+@st.composite
+def stacked_terms(draw):
+    """A signed term pattern over 1-4 inputs and 1-6 trials of laws on one group of
+    order 2-64; some trials get exact zeros."""
+    n, trials = draw(st.integers(2, 64)), draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    pattern = draw(st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(0, k - 1)),
+                            min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pmfs = [[random_pmf(rng, n) for _ in range(k)] for _ in range(trials)]
+    for t in draw(st.sets(st.integers(0, trials - 1))):
+        pmfs[t] = [DiscretePmf(n, _sparsify(rng, p.probs)) for p in pmfs[t]]
+    return pattern, pmfs
+
+
+def _stack(pmfs):
+    return np.array([[p.probs for p in trial] for trial in pmfs])
+
+
+class TestStackedFold:
+    @given(stacked_terms())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_the_pmf_fold_bit_for_bit(self, case):
+        """Each row of one stacked fold is the roll-reference fold of its trial."""
+        pattern, pmfs = case
+        laws = list(_stack(pmfs).transpose(1, 0, 2).copy())
+        rows = _fold_entropies([(s, laws[i]) for s, i in pattern])
+        for trial, h in zip(pmfs, rows):
+            out = None
+            for sign, i in pattern:
+                p = trial[i] if sign > 0 else \
+                    DiscretePmf(trial[i].group_order, np.roll(trial[i].probs[::-1], 1))
+                out = p if out is None else _roll_sum_reference(out, p)
+            assert float(h).hex() == out.entropy().hex()
+
+    @pytest.mark.parametrize("order", [2, 3, 6, 7, 8, 9, 16, 31, 64])
+    def test_row_forms_match_one_trial_calls(self, order):
+        """The 2-D vecdot, the row sums and the row entropies each equal a call per row."""
+        rng = np.random.default_rng(order)
+        p, q = rng.dirichlet(np.ones(order), size=(2, 50)) * (1.0 + 1e-12)
+        gather = (np.arange(order)[:, None] - np.arange(order)) % order
+        one = np.array([np.vecdot(q[t][gather], p[t]) for t in range(50)])
+        assert np.array_equal(_convolve(p, q), one)
+        assert np.array_equal(_normalized(q, axis=-1), np.array([r / r.sum() for r in q]))
+        rows = _normalized(p, axis=-1)
+        assert np.array_equal(_fold_entropies([(1, rows)]),
+                              np.array([DiscretePmf(order, r).entropy() for r in p]))
+        # a reflection gathered as rows[:, idx] has strided rows, whose sums differ
+        assert np.array_equal(_fold_entropies([(-1, rows)]),
+                              [reflect_pmf(DiscretePmf(order, r)).entropy() for r in p])
+
+    def test_row_normalization_reports_the_bad_row(self):
+        rows = np.array([[0.5, 0.5], [0.5, 0.25]])
+        with pytest.raises(ValueError, match="sum to 0.75"):
+            _normalized(rows, axis=-1)
+
+    @pytest.mark.parametrize("order,k", [(2, 1), (6, 2), (6, 5), (64, 3)])
+    def test_one_draw_is_the_per_trial_draws(self, order, k):
+        stacked = np.random.default_rng(order).dirichlet(np.ones(order), size=(40, k))
+        rng = np.random.default_rng(order)
+        assert np.array_equal(stacked, [rng.dirichlet(np.ones(order), size=k)
+                                        for _ in range(40)])
+
+    @pytest.mark.parametrize("cid,params", [(cid, p) for cid in DISCRETE_REGISTRY_ORDER
+                                            for p in GROUP_CHECKS[cid].variants], ids=str)
+    def test_registry_reports_match_one_call_per_trial(self, cid, params):
+        check = GROUP_CHECKS[cid]
+        rng = np.random.default_rng(len(cid))
+        pmfs = [[random_pmf(rng, 6) for _ in range(check.arity_for(params))]
+                for _ in range(12)]
+        pmfs[3] = [DiscretePmf(6, _sparsify(rng, p.probs)) for p in pmfs[3]]
+        got = [r.to_dict() for r in registry_reports(cid, _stack(pmfs), params, 0.5)]
+        want = [check_discrete_registry(cid, trial, params, 0.5).to_dict() for trial in pmfs]
+        assert repr(got) == repr(want)
+
+    def test_covering_joint_is_the_loop_over_sums(self):
+        rng = np.random.default_rng(9)
+        for order in (2, 3, 6, 11):
+            p, q = random_pmf(rng, order), DiscretePmf(order, _sparsify(rng, random_pmf(
+                rng, order).probs))
+            s_pmf, idx = sum_pmf(p, q).probs, np.arange(order)
+            table = np.zeros((order,) * 4)
+            for s in range(order):
+                if s_pmf[s] > 0.0:
+                    cond = p.probs * q.probs[(s - idx) % order] / s_pmf[s]
+                    y = (s - idx) % order
+                    table[idx[:, None], idx[None, :], y[:, None], y[None, :]] += \
+                        np.outer(cond, cond) * s_pmf[s]
+            assert np.array_equal(_covering_joint(p, q, s_pmf).table,
+                                  DiscreteJoint((order,) * 4, table).table)
+
+
+def _per_trial_job(config, check_id):
+    """The suite's registry job as one check_discrete_registry call per trial, each
+    trial drawing its variant (when there are several) and then its pmfs."""
+    rng = suite._trial_rng(config.seed, 1000, 0, salt=suite.VALID_CHECK_IDS.index(check_id))
+    check = GROUP_CHECKS[check_id.removeprefix("discrete.")]
+    out = []
+    for _ in range(config.trials or config.discrete_trials):
+        n_variants = len(check.variants)
+        params = dict(check.variants[rng.integers(n_variants) if n_variants > 1 else 0])
+        pmfs = [DiscretePmf(config.discrete_group_order, p) for p in rng.dirichlet(
+            np.ones(config.discrete_group_order), size=check.arity_for(params))]
+        out.append(check_discrete_registry(check.id, pmfs, params).to_dict())
+    return out
+
+
+class TestSuiteStacks:
+    @pytest.mark.parametrize("seed,order", [(3, 6), (20240501, 2), (7, 64)])
+    def test_job_reports_match_one_call_per_trial(self, seed, order):
+        config = suite.config_from_dict({"seed": seed, "discrete": {"group_order": order,
+                                                                    "trials": 30}})
+        for cid in DISCRETE_REGISTRY_ORDER:
+            got = [r.to_dict() for r in suite._discrete_job((config, f"discrete.{cid}"), None)]
+            assert repr(got) == repr(_per_trial_job(config, f"discrete.{cid}")), cid

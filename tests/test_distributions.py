@@ -308,6 +308,19 @@ class TestPoincare:
         assert est is not None
         assert abs(est - expected) / expected < 0.01
 
+    @pytest.mark.parametrize("model,bits", [
+        (Gaussian(0.0, 2.5), "0x1.4000000602023p+1"),
+        (Uniform(0.0, 1.0), "0x1.9f02fb7781d1bp-4"),
+        (Exponential(1.0), "0x1.ff808d2344576p+1"),
+        (Laplace(0.0, 1.0), "0x1.ff896b2186f73p+1"),
+        (Mixture((0.3, 0.7), (Gaussian(-2.0, 1.0), Gaussian(2.0, 1.0))), "0x1.f4ebed1fa93dfp+2"),
+        (Gamma(2.5, 1.5), "0x1.60cb7be64b6abp+3"),
+    ])
+    def test_spectral_oracle_bits(self, model, bits):
+        # the values of the Lanczos loop that built its tridiagonal with three np.diag
+        # calls per step; writing it in place must not move a bit
+        assert spectral_poincare(model).hex() == bits
+
     @pytest.mark.parametrize("mu,b", [(0.0, 1.0), (1.0, 0.5), (-3.0, 7.25), (2.0, 1e-3)])
     def test_laplace_table_exact(self, mu, b):
         # Bobkov-Ledoux: R = 4 b^2

@@ -279,3 +279,122 @@ class TestScenarioComposition:
         rep = run_weak_bsg_scenario(rho)
         lhs, rhs = _weak_bsg_reference(rho)
         assert _hexed([rep.lhs, rep.rhs, rep.slack]) == _hexed([lhs, rhs, rhs - lhs])
+
+    @pytest.mark.parametrize("rho", [-0.999999, 0.999999])
+    def test_near_unit_correlation_matches_or_raises_alike(self, rho):
+        for scenario, reference in ((lambda r: run_bsg_scenario(r).to_dict(), _bsg_reference),
+                                    (lambda r: _weak_sides(run_weak_bsg_scenario(r)),
+                                     lambda r: _weak_sides(*_weak_bsg_reference(r)))):
+            try:
+                want = _hexed(reference(rho))
+            except Exception as e:  # the scenario must fail the same way
+                with pytest.raises(type(e), match=str(e)):
+                    scenario(rho)
+                continue
+            assert _hexed(scenario(rho)) == want
+
+
+def _weak_sides(rep, rhs=None):
+    """(lhs, rhs, slack) of a weak-BSG report, or of a reference's two sides."""
+    lhs, rhs = (rep.lhs, rep.rhs) if rhs is None else (rep, rhs)
+    return [lhs, rhs, rhs - lhs]
+
+
+# -- the linear-algebra facts that the query paths rest on -------------------
+
+
+def _lapack_conditional_entropy(v, a, b):
+    """conditional_entropy with one LAPACK call per block, as it was first written."""
+    ia, ib = ([v.names.index(x) for x in labels] for labels in (a, b))
+    sbb = v.cov[np.ix_(ib, ib)]
+    eigs = np.linalg.eigvalsh(sbb)
+    if len(eigs) and eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+        raise DegenerateSubsetError("conditioning block")
+    sab = v.cov[np.ix_(ia, ib)]
+    schur = v.cov[np.ix_(ia, ia)] - sab @ np.linalg.solve(sbb, sab.T)
+    eigs = np.linalg.eigvalsh(0.5 * (schur + schur.T))
+    if len(eigs) and eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+        return -math.inf
+    return 0.5 * (len(ia) * C * 2 + float(np.log(eigs).sum()))
+
+
+def _chain(rho):
+    return pair(rho).extend_markov([
+        ("X1", ("Y",), ("X", ("Y",))),
+        ("X2", ("Y",), ("X", ("Y",))),
+        ("Yp", ("X1",), ("Y", ("X",))),
+    ]).with_linear("S2p", {"X2": 1.0, "Yp": 1.0})
+
+
+LABELS = ("X", "Y", "X1", "X2", "Yp", "S2p")
+
+
+class TestLinearAlgebraFacts:
+    def test_one_by_one_blocks_need_no_lapack(self):
+        """eigvalsh of a 1 x 1 block is its entry and one 1 x 1 equation is a division, so
+        the log-determinant and the solve of such a block keep their bits; a solve with
+        several right-hand sides is not a division, so it stays with LAPACK."""
+        rng = np.random.default_rng(0)
+        entries = np.exp(rng.uniform(-25.0, 30.0, 5000))
+        rhs = rng.standard_normal((5000, 3))
+        for x, b in zip(entries, rhs):
+            m = np.array([[x]])
+            assert np.linalg.eigvalsh(m)[0] == x
+            assert GaussianVector._logdet_pd(m, "m") == float(np.log(np.linalg.eigvalsh(m)).sum())
+            assert np.array_equal(b[:1] / x, np.linalg.solve(m, b[:1]))
+            assert np.array_equal(b[None, :1] / x, np.linalg.solve(m, b[None, :1]))
+
+    def test_stacked_calls_match_a_call_per_matrix(self):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((3000, 2, 2))
+        spd = a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(2)
+        rhs = rng.standard_normal((3000, 2, 2))
+        assert np.array_equal(np.linalg.eigvalsh(spd), [np.linalg.eigvalsh(m) for m in spd])
+        assert np.array_equal(np.linalg.solve(spd, rhs),
+                              [np.linalg.solve(m, r) for m, r in zip(spd, rhs)])
+
+    @given(st.floats(-0.999, 0.999), st.lists(st.lists(st.sampled_from(LABELS), min_size=1,
+                                                        max_size=3, unique=True),
+                                               min_size=1, max_size=5),
+           st.lists(st.sampled_from(LABELS), max_size=2, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_conditional_entropies_match_one_lapack_query_each(self, rho, queries, b):
+        v = _chain(rho)
+        try:
+            want = [_lapack_conditional_entropy(v, a, b) for a in queries]
+        except DegenerateSubsetError:
+            with pytest.raises(DegenerateSubsetError):
+                v.conditional_entropies(queries, b)
+            return
+        assert _hexed(v.conditional_entropies(queries, b)) == _hexed(want)
+
+    @given(st.floats(-0.999999, 0.999999), st.sampled_from(LABELS), st.sampled_from(LABELS),
+           st.floats(-2.0, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_bordered_vectors_match_the_checked_constructor(self, rho, x, y, c):
+        """A bordered covariance skips only the symmetry check, and is clamped alike."""
+        v = _chain(rho)
+        ix, iy = v.names.index(x), v.names.index(y)
+        coeffs = np.zeros(len(v.names))
+        coeffs[ix] += 1.0
+        coeffs[iy] += c
+        row = v.cov @ coeffs
+        cov = np.block([[v.cov, row[:, None]], [row[None], np.array([[coeffs @ row]])]])
+        want = GaussianVector(v.names + ("Z",), np.append(v.mean, 0.0), cov)
+        got = v._bordered("Z", 0.0, row, float(coeffs @ row))
+        assert np.array_equal(got.cov, want.cov) and np.array_equal(got.mean, want.mean)
+        assert got.names == want.names
+
+    def test_bordered_name_must_be_new(self):
+        with pytest.raises(ValueError, match="unique"):
+            pair(0.3).with_linear("X", {"Y": 1.0})
+
+    def test_a_conditioning_set_is_checked_once_per_vector(self, monkeypatch):
+        seen = []
+        check = GaussianVector._logdet_pd
+        monkeypatch.setattr(GaussianVector, "_logdet_pd",
+                            staticmethod(lambda m, what: seen.append(what) or check(m, what)))
+        v = _chain(0.4)
+        v.conditional_entropy(["X2"], ["X1", "Y"])
+        v.conditional_mutual_information(["S2p"], ["Yp"], ["X1", "Y"])
+        assert seen.count("conditioning block") == 1
