@@ -7,7 +7,6 @@ from .distributions import (
     Exponential,
     Gamma,
     Gaussian,
-    Gridded,
     Laplace,
     Mixture,
     ModelError,
@@ -42,13 +41,8 @@ from .checks import (
     CHECKS,
     CheckDef,
     GridContext,
-    RuzsaFunctionals,
     default_corpus,
-    doubling_and_difference,
     inverse_theorem_check,
-    sum_minus_difference_gap,
-    sum_dominant_gap,
-    ruzsa_distance,
     run_check,
 )
 from .discrete import (

@@ -5,7 +5,8 @@ written once, as a function of an entropy backend ``h(*terms)`` whose terms
 are (sign, law) pairs and whose result is an ``Approx`` (value, err).  The
 same definition runs on two backends: ``GridContext.entropy`` (differential
 entropy of continuous laws on grids, ``run_check``) and the exact cyclic-group
-backend of ``entrolab.discrete`` (Shannon entropy, ``check_discrete_registry``).
+backend of ``entrolab.discrete`` (Shannon entropy, ``registry_reports`` over a
+stack of trials; ``check_discrete_registry`` is its one-trial case).
 err propagates term by term through each check's own arithmetic; the group
 backend's err is 0.  Mutual-information quantities are entropy differences of
 independent-sum laws (I(X+Y;Y) = h(X+Y) - h(X)), keeping everything
@@ -47,17 +48,12 @@ __all__ = [
     "EXACT_TOL",
     "exact_entropy",
     "CheckDef",
-    "RuzsaFunctionals",
     "GridContext",
     "REFINE_RATIO",
     "decide",
     "REGISTRY",
     "CHECKS",
     "run_check",
-    "ruzsa_distance",
-    "doubling_and_difference",
-    "sum_minus_difference_gap",
-    "sum_dominant_gap",
     "inverse_theorem_check",
     "INVERSE_CHECK_IDS",
     "default_corpus",
@@ -228,8 +224,8 @@ class GridContext:
         Each run of k equal (law, sign) leaves enters as k copies of its own
         grid when that is on the step.  Otherwise it is sampled at the step
         when its law has at most one finite support end and its grid spans
-        at least NARROW cells of the step (and always when it has no
-        characteristic function), and enters through that function if not.
+        at least NARROW cells of the step, and enters through its
+        characteristic function if not.
         """
         runs = []
         for _, run in itertools.groupby(sorted(terms, key=_term_key), key=_term_key):
@@ -240,8 +236,7 @@ class GridContext:
         parts, leaves = [], []
         for (sign, m, k), g in zip(runs, leaf_grids):
             if not math.isclose(g.spec.step, step, rel_tol=1e-9):
-                if m.has_characteristic and (g.spec.width < NARROW * step
-                                             or all(map(math.isfinite, m.support()))):
+                if g.spec.width < NARROW * step or all(map(math.isfinite, m.support())):
                     leaves.append((m if sign > 0 else m.affine(-1.0, 0.0), k))
                     continue
                 g = self._resampled.pop((m.content_key, step), None) or grids.resample(
@@ -307,41 +302,6 @@ def _term_key(term: tuple[int, DensityModel]) -> tuple[str, int]:
     # evaluated leads with plus signs: X + X' stays X + X'
     sign, m = term
     return m.content_key, -sign
-
-
-@dataclass(frozen=True)
-class RuzsaFunctionals:
-    """Additive-entropy functionals of a single law (all grid-based)."""
-
-    delta_plus: float  # h(X+X') - h(X), nats
-    delta_minus: float  # h(X-X') - h(X), nats
-    err_plus: float
-    err_minus: float
-
-    @property
-    def dist_r(self) -> float:
-        """Self-distance h(X - X') - h(X), nats."""
-        return self.delta_minus
-
-    @property
-    def sigma(self) -> float:
-        """Doubling constant exp{h(X+X') - h(X)}."""
-        return math.exp(self.delta_plus)
-
-    @property
-    def delta(self) -> float:
-        """Difference constant exp{h(X-X') - h(X)}."""
-        return math.exp(self.delta_minus)
-
-
-def ruzsa_distance(ctx: GridContext, mx: DensityModel, my: DensityModel) -> Approx:
-    """dist(X, Y) = h(X' - Y') - h(X')/2 - h(Y')/2 for independent copies."""
-    return _dist(ctx.entropy, mx, my)
-
-
-def doubling_and_difference(ctx: GridContext, m: DensityModel) -> RuzsaFunctionals:
-    d_plus, d_minus = _deltas(ctx.entropy, m)
-    return RuzsaFunctionals(d_plus.value, d_minus.value, d_plus.err, d_minus.err)
 
 
 # ---------------------------------------------------------------------------
@@ -573,55 +533,6 @@ def run_check(
     ctx = ctx or GridContext()
     return check.report(check.id, ctx.entropy, models, params, extra_err,
                         tuple(m.echo for m in models))
-
-
-# ---------------------------------------------------------------------------
-# sum-versus-difference demonstrations
-
-
-def sum_minus_difference_gap(p: float, a: float, ctx: GridContext | None = None) -> Approx:
-    """h(X1+X2) - h(X1-X2) for the two-cluster law p U(0,1) + (1-p) U(a,a+1).
-
-    Returns (gap, err).  For a >= 2 the three clusters of the sum law (at 0,
-    a, 2a, weights p^2, 2pq, q^2) and of the difference law (at -a, 0, a,
-    weights pq, p^2+q^2, pq) are disjoint translates of one triangular
-    density, so the gap equals the three-cluster weight-entropy difference
-    H(p^2, 2pq, q^2) - H(pq, p^2+q^2, pq) exactly and is constant in a.  That
-    difference is strictly negative for p != 1/2: the difference law
-    concentrates collision mass at zero yet still carries more entropy than
-    the sum law.  See sum_dominant_gap for a family with the opposite sign.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0,1)")
-    if a < 0.0:
-        raise ValueError("a must be nonnegative")
-    ctx = ctx or GridContext()
-    if a == 0.0:
-        m: DensityModel = Uniform(0.0, 1.0)
-    else:
-        m = Mixture((p, 1.0 - p), (Uniform(0.0, 1.0), Uniform(a, a + 1.0)))
-    return ctx.entropy((1, m), (1, m)) - ctx.entropy((1, m), (-1, m))
-
-
-# smallest set with more pairwise sums than differences
-_SUM_DOMINANT_SET = (0, 2, 3, 4, 7, 11, 12, 14)
-
-
-def sum_dominant_gap(scale: float = 3.0, ctx: GridContext | None = None) -> Approx:
-    """Positive sum-minus-difference entropy gap from a sum-dominant support.
-
-    X is uniform over translates of U(0,1) placed on a scaled set whose
-    sumset beats its difference set; for separated clusters the gap
-    approaches the (positive) weight-entropy difference of the cluster
-    laws.
-    """
-    if scale <= 2.0:
-        raise ValueError("scale must exceed 2 to keep clusters separated")
-    ctx = ctx or GridContext()
-    n = len(_SUM_DOMINANT_SET)
-    comps = tuple(Uniform(scale * s, scale * s + 1.0) for s in _SUM_DOMINANT_SET)
-    m = Mixture((1.0 / n,) * n, comps)
-    return ctx.entropy((1, m), (1, m)) - ctx.entropy((1, m), (-1, m))
 
 
 # ---------------------------------------------------------------------------

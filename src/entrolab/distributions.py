@@ -3,8 +3,7 @@
 Every model is an immutable value with exact moments, a vectorized density,
 a closed-form differential entropy where one exists (nats), affine
 transforms, and seeded sampling.  Models with no closed-form entropy
-(mixtures, gridded densities) are handled numerically by
-:mod:`entrolab.grids`.
+(mixtures) are handled numerically by :mod:`entrolab.grids`.
 
 One-sided families (exponential, gamma) carry an optional shift and a
 ``reflected`` flag so that the catalog is closed under affine maps ``a*X + b``
@@ -13,20 +12,16 @@ with ``a != 0``; reflection and shift leave the entropy untouched.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
 from . import _special
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .grids import GridDensity
 
 __all__ = [
     "ModelError",
@@ -38,7 +33,6 @@ __all__ = [
     "Laplace",
     "Gamma",
     "Mixture",
-    "Gridded",
     "KINDS",
     "is_finite_number",
     "make_model",
@@ -118,9 +112,6 @@ class DensityModel:
 
     def bounded_density(self) -> bool:
         return True
-
-    # False when ``characteristic`` is not available (gridded densities)
-    has_characteristic: ClassVar[bool] = True
 
     def characteristic(self, t: np.ndarray) -> tuple[float, np.ndarray]:
         """(center, phi) with E[exp(itX)] = exp(it * center) * phi(t) at each t."""
@@ -463,10 +454,6 @@ class Mixture(DensityModel):
     def bounded_density(self) -> bool:
         return all(c.bounded_density() for c in self.components)
 
-    @property
-    def has_characteristic(self) -> bool:
-        return all(c.has_characteristic for c in self.components)
-
     def characteristic(self, t):
         parts = [c.characteristic(t) for c in self.components]
         center = sum(w * c for w, (c, _) in zip(self.weights, parts))
@@ -492,79 +479,6 @@ class Mixture(DensityModel):
             "kind": "mixture",
             "weights": list(self.weights),
             "components": [c.to_dict() for c in self.components],
-        }
-
-
-@dataclass(frozen=True)
-class Gridded(DensityModel):
-    """A density given only through its grid representation."""
-
-    grid: "GridDensity"
-
-    has_characteristic = False
-
-    def moments(self) -> MomentSummary:
-        return self.grid.moments
-
-    def pdf(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.grid.spec.centers(),
-                         self.grid.values, left=0.0, right=0.0)
-
-    def cdf(self, x):
-        cum = np.cumsum(self.grid.values) * self.grid.spec.step
-        return np.interp(np.asarray(x, dtype=float), self.grid.spec.centers(), cum,
-                         left=0.0, right=1.0)
-
-    def support(self):
-        spec = self.grid.spec
-        return (spec.origin, spec.origin + spec.count * spec.step)
-
-    def window(self, eps: float = TAIL_EPS):
-        return self.support()
-
-    def affine(self, a, b):
-        _check_scale(a)
-        from .grids import GridDensity, GridSpec
-
-        spec = self.grid.spec
-        width = spec.count * spec.step
-        if a > 0:
-            origin = a * spec.origin + b
-            values = self.grid.values / a
-        else:
-            origin = a * (spec.origin + width) + b
-            values = self.grid.values[::-1] / (-a)
-        new_spec = GridSpec(origin=origin, step=abs(a) * spec.step, count=spec.count)
-        return Gridded(GridDensity(spec=new_spec, values=values,
-                                   mass_defect=self.grid.mass_defect,
-                                   error_estimate=self.grid.error_estimate))
-
-    def sample_rng(self, rng, n):
-        spec = self.grid.spec
-        cell_mass = self.grid.values * spec.step
-        cum = np.cumsum(cell_mass)
-        cum /= cum[-1]
-        u = rng.random(n)
-        cells = np.searchsorted(cum, u, side="right")
-        cells = np.clip(cells, 0, spec.count - 1)
-        return spec.origin + (cells + rng.random(n)) * spec.step
-
-    @cached_property
-    def content_key(self) -> str:
-        # to_dict records the grid's shape and moments, not its values
-        return (json.dumps(self.to_dict(), sort_keys=True)
-                + hashlib.sha1(self.grid.values.tobytes()).hexdigest())
-
-    def to_dict(self):
-        spec = self.grid.spec
-        m = self.moments()
-        return {
-            "kind": "gridded",
-            "origin": spec.origin,
-            "step": spec.step,
-            "count": spec.count,
-            "mean": m.mean,
-            "variance": m.variance,
         }
 
 

@@ -164,22 +164,32 @@ def _tolerances_field(value) -> dict:
     return dict(value)
 
 
-def _section(raw: dict, key: str) -> dict:
-    """An optional JSON object field of the config; absent means empty."""
+def _known(value: dict, keys: tuple[str, ...], where: str) -> dict:
+    """value, unless it has a key outside keys: a misspelled or misplaced key is an error."""
+    unknown = [k for k in value if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    return value
+
+
+def _section(raw: dict, key: str, keys: tuple[str, ...]) -> dict:
+    """An optional JSON object field of the config with the given keys; absent means empty."""
     value = raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"'{key}' must be a JSON object, got {value!r}")
-    return value
+    return _known(value, keys, f"'{key}'")
 
 
 def config_from_dict(raw: dict) -> SuiteConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _known(raw, ("seed", "numerics", "corpus", "corpus_size", "checks", "trials", "discrete",
+                 "output", "workers"), "the config")
     if "seed" not in raw:
         raise ConfigError("config requires a 'seed' field")
     seed = _int_field(raw["seed"], "seed", low=0)
 
-    numerics = _section(raw, "numerics")
+    numerics = _section(raw, "numerics", ("grid_count", "window_sigmas", "tolerances"))
     grid_count = grid_count_field(numerics.get("grid_count", 1 << 14), "numerics.grid_count")
     window_sigmas = window_sigmas_field(numerics.get("window_sigmas", 12.0),
                                         "numerics.window_sigmas")
@@ -203,8 +213,8 @@ def config_from_dict(raw: dict) -> SuiteConfig:
         except ModelError as e:
             raise ConfigError(f"bad corpus model spec: {e}") from e
 
-    discrete = _section(raw, "discrete")
-    output = _section(raw, "output")
+    discrete = _section(raw, "discrete", ("group_order", "trials"))
+    output = _section(raw, "output", ("path", "format"))
     fmt = output.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"output format must be json or csv, got '{fmt}'")

@@ -11,12 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from entrolab import grids
-from entrolab.checks import (
-    default_corpus,
-    doubling_and_difference,
-    inverse_theorem_check,
-)
+from entrolab import checks, grids
+from entrolab.checks import default_corpus, inverse_theorem_check
 from entrolab.distributions import Exponential, Gaussian, Uniform
 from entrolab.estimators import estimate_functional, knn_entropy
 from entrolab.gaussians import (
@@ -65,19 +61,20 @@ def test_criterion_1_golden_entropies(ctx):
 
 
 def test_criterion_2_doubling_difference_constants(ctx):
-    g = doubling_and_difference(ctx, Gaussian(0, 1))
-    u = doubling_and_difference(ctx, Uniform(0, 1))
-    e = doubling_and_difference(ctx, Exponential(1.0))
-    checks = [
-        abs(g.sigma - math.sqrt(2)) < 1e-4,
-        abs(g.delta - math.sqrt(2)) < 1e-4,
-        abs(u.sigma - math.exp(0.5)) < 1e-4,
-        abs(e.sigma - math.exp(EULER_GAMMA)) < 1e-3,
-        abs(e.delta - 2.0) < 1e-3,
+    # (sigma, delta) = (exp(h(X+X') - h(X)), exp(h(X-X') - h(X)))
+    (g_sigma, g_delta), (u_sigma, _), (e_sigma, e_delta) = (
+        [math.exp(d.value) for d in checks._deltas(ctx.entropy, m)]
+        for m in (Gaussian(0, 1), Uniform(0, 1), Exponential(1.0)))
+    conditions = [
+        abs(g_sigma - math.sqrt(2)) < 1e-4,
+        abs(g_delta - math.sqrt(2)) < 1e-4,
+        abs(u_sigma - math.exp(0.5)) < 1e-4,
+        abs(e_sigma - math.exp(EULER_GAMMA)) < 1e-3,
+        abs(e_delta - 2.0) < 1e-3,
     ]
-    report_line(2, all(checks),
+    report_line(2, all(conditions),
                 "sigma/delta constants: Gaussian sqrt(2), uniform e^1/2, "
-                f"exponential (e^gamma, 2) -> {checks}")
+                f"exponential (e^gamma, 2) -> {conditions}")
 
 
 def test_criterion_3_randomized_corpus_no_violations(default_suite):
@@ -91,8 +88,8 @@ def test_criterion_3_randomized_corpus_no_violations(default_suite):
 
 
 def test_criterion_4_exponential_ratio(ctx):
-    f = doubling_and_difference(ctx, Exponential(1.0))
-    ratio = f.delta_plus / f.delta_minus
+    d_plus, d_minus = checks._deltas(ctx.entropy, Exponential(1.0))
+    ratio = d_plus.value / d_minus.value
     target = EULER_GAMMA / LN2
     ok = abs(ratio - target) < 1e-3 and 0.5 <= ratio <= 2.0
     report_line(4, ok,

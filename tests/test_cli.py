@@ -201,6 +201,11 @@ class TestCheckCommand:
         ("output", {"path": True}),
         ("output", {"path": []}),
         ("output", {"path": ""}),
+        ("grid_count", 2048),  # unknown keys: misplaced or misspelt, never a silent default
+        ("numerics", {"grid_cout": 2048}),
+        ("discrete", {"trails": 5}),
+        ("output", {"fromat": "csv"}),
+        ("worker", 2),
     ])
     def test_bad_numbers_rejected_at_load(self, tmp_path, capsys, field, value):
         with pytest.raises(ConfigError):

@@ -15,7 +15,6 @@ from entrolab.distributions import (
     Exponential,
     Gamma,
     Gaussian,
-    Gridded,
     Laplace,
     Mixture,
     ModelError,
@@ -26,7 +25,6 @@ from entrolab.distributions import (
 from entrolab import poincare
 from entrolab.checks import default_corpus, inverse_theorem_check
 from entrolab.cli import main
-from entrolab.grids import discretize
 from entrolab.poincare import poincare_constant, spectral_poincare
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -233,7 +231,7 @@ class TestSymmetricFlag:
     """DensityModel.symmetric: the law of -X is a translate of the law of X."""
 
     def test_flagged_kinds(self):
-        kinds = (Gaussian, Uniform, Exponential, Laplace, Gamma, Mixture, Gridded)
+        kinds = (Gaussian, Uniform, Exponential, Laplace, Gamma, Mixture)
         assert {k for k in kinds if k.symmetric} == {Gaussian, Uniform, Laplace}
 
     @pytest.mark.parametrize("kind", sorted(SYMMETRIC_LAWS))
@@ -251,8 +249,7 @@ class TestSymmetricFlag:
         Exponential(1.5, shift=0.3, reflected=True),
         Gamma(2.0, 1.0),
         Mixture((0.3, 0.7), (Gaussian(-1.0, 1.0), Gaussian(2.0, 1.0))),
-        Gridded(discretize(Gamma(3.0, 0.5))),
-    ], ids=["exponential", "reflected-exponential", "gamma", "mixture", "gridded"])
+    ], ids=["exponential", "reflected-exponential", "gamma", "mixture"])
     def test_unflagged_instance_is_not_even(self, m):
         assert not m.symmetric
         mom = m.moments()

@@ -14,7 +14,7 @@ from scipy.special import digamma
 
 from entrolab import grids
 from entrolab.checks import REFINE_RATIO, GridContext
-from entrolab.distributions import Exponential, Gaussian, Gridded, Laplace, Mixture, Uniform
+from entrolab.distributions import Exponential, Gaussian, Laplace, Mixture, Uniform
 from entrolab.grids import (
     MIN_COUNT,
     GridDensity,
@@ -776,12 +776,6 @@ class TestErrorAudit:
         self._audit(ctx, [(1, Exponential(0.5)), (-1, Exponential(rate))],
                     1.0 + math.log((0.5 + rate) / (0.5 * rate)))
 
-    def test_gridded_leaf_on_another_step(self, ctx):
-        # the gridded law's own step is finer; it is sampled at N(0, 100)'s
-        leaf = Gridded(discretize(Gaussian(0, 1)))
-        self._audit(ctx, [(1, leaf), (1, Gaussian(0, 100))],
-                    0.5 * math.log(2 * math.pi * math.e * 101))
-
     def test_deep_sum_stable_under_refinement(self):
         # eight uniforms of two widths: every convolution after the first
         # coarsens a smooth partial sum, not a jumpy leaf
@@ -946,18 +940,3 @@ class TestGaussianFit:
         assert fit.mean == pytest.approx(1.0, abs=1e-6)
         assert fit.variance == pytest.approx(1 / 6, abs=1e-6)
 
-
-class TestGriddedModel:
-    def test_affine_entropy_shift(self):
-        base = discretize(Laplace(0, 1))
-        m = Gridded(base)
-        out = m.affine(2.0, 1.0)
-        h0, _ = entropy(base)
-        h1, _ = entropy(out.grid)
-        assert h1 - h0 == pytest.approx(math.log(2), abs=1e-9)
-
-    def test_sampling_matches_moments(self):
-        base = discretize(Mixture((0.5, 0.5), (Gaussian(-2, 0.5), Gaussian(2, 0.5))))
-        m = Gridded(base)
-        xs = m.sample_rng(np.random.default_rng(0), 100_000)
-        assert abs(xs.mean() - m.moments().mean) < 0.02
